@@ -4,8 +4,10 @@ Subcommands: construct, invariant, price, verify-closed-forms, kstar,
 transform, search, verify-theorems, verify-conjecture.
 
 Exit codes: 0 success, 1 usage error, 2 domain/size error, 3 mathematical
-verification failure.  ``--json`` / ``--csv`` switch formats, ``--out``
-writes to a file instead of standard output.
+verification failure, 4 internal error (a failed structural check, which
+indicates a bug).  ``--json`` switches to JSON, ``--out`` writes to a file
+instead of standard output.  A closed standard output (``| head``) ends
+the command quietly with exit 0.
 """
 from __future__ import annotations
 
@@ -13,12 +15,14 @@ import argparse
 import csv
 import io as _stdio
 import json
+import os
 import sys
+from fractions import Fraction
 
 from . import families, formulas, io, search, transforms
 from .digraph import Digraph
-from .errors import DomainError, FormatError, SizeError, VerificationError
-from .invariants import INVARIANTS, price
+from .errors import DomainError, FormatError, InvariantViolation, SizeError
+from .invariants import INVARIANTS, OBJECTIVES, price
 from .transforms import TransformOutcome
 
 SCHEMA = "symprice/1"
@@ -27,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(args, text: str) -> None:
@@ -73,13 +78,13 @@ def cmd_construct(args) -> int:
 
 def cmd_invariant(args) -> int:
     g = _load_graph(args)
-    pr = price(g, args.invariant)
+    value = Fraction(INVARIANTS[args.invariant](g))
     if args.json:
         _emit_json(args, {"n": g.n, "invariant": args.invariant,
-                          "value": {"num": pr.value_g.numerator,
-                                    "den": pr.value_g.denominator}})
+                          "value": {"num": value.numerator,
+                                    "den": value.denominator}})
     else:
-        _emit(args, f"{args.invariant}: {pr.value_g}")
+        _emit(args, f"{args.invariant}: {value}")
     return EXIT_OK
 
 
@@ -103,28 +108,26 @@ def cmd_price(args) -> int:
 def cmd_verify_closed_forms(args) -> int:
     from .invariants import transmission
 
+    # (n, k, the number whose parity is reported, graph, its sigma, closure sigma)
+    cases = [(n, None, n, families.cycle(n),
+              formulas.sigma_cycle(n), formulas.sigma_cycle_sym(n))
+             for n in range(2, args.max_n + 1)]
+    cases += [(n, k, n - k, families.canonical_bag(n, k),
+               formulas.sigma_hnk(n, k), formulas.sigma_hnk_sym(n, k))
+              for n in range(11, args.max_n + 1) for k in range(3, n)]
     rows = []
-    ok = True
-    for n in range(2, args.max_n + 1):
-        g = families.cycle(n)
-        for graph, sigma_f in ((g, formulas.sigma_cycle(n)),
-                               (g.symmetric_closure(), formulas.sigma_cycle_sym(n))):
+    for n, k, m, g, sigma, sigma_sym in cases:
+        parity = "even" if m % 2 == 0 else "odd"
+        for graph, sigma_f in ((g, sigma), (g.symmetric_closure(), sigma_sym)):
             sigma_b = transmission(graph)
-            match = sigma_f == sigma_b
-            ok = ok and match
-            rows.append([n, "", "even" if n % 2 == 0 else "odd",
-                         sigma_f, sigma_b, match])
-    for n in range(11, args.max_n + 1):
-        for k in range(3, n):
-            g = families.canonical_bag(n, k)
-            parity = "even" if (n - k) % 2 == 0 else "odd"
-            for graph, sigma_f in ((g, formulas.sigma_hnk(n, k)),
-                                   (g.symmetric_closure(), formulas.sigma_hnk_sym(n, k))):
-                sigma_b = transmission(graph)
-                match = sigma_f == sigma_b
-                ok = ok and match
-                rows.append([n, k, parity, sigma_f, sigma_b, match])
-    _emit(args, _csv_text(["n", "k", "parity", "sigma_formula", "sigma_bfs", "match"], rows))
+            rows.append([n, k, parity, sigma_f, sigma_b, sigma_f == sigma_b])
+    ok = all(r[-1] for r in rows)
+    header = ["n", "k", "parity", "sigma_formula", "sigma_bfs", "match"]
+    if args.json:
+        _emit_json(args, {"max_n": args.max_n, "ok": ok,
+                          "rows": [dict(zip(header, r)) for r in rows]})
+    else:
+        _emit(args, _csv_text(header, rows))
     if not ok:
         print("closed-form mismatch found", file=sys.stderr)
         return EXIT_VERIFY
@@ -265,10 +268,8 @@ def cmd_verify_conjecture(args) -> int:
 # -- argument parsing ------------------------------------------------
 
 
-def _add_format_flags(p, csv_flag=False):
+def _add_format_flags(p):
     p.add_argument("--json", action="store_true", help="emit JSON")
-    if csv_flag:
-        p.add_argument("--csv", action="store_true", help="emit CSV (default)")
     p.add_argument("--out", help="write output to a file")
 
 
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-closed-forms",
                        help="compare closed forms against BFS transmissions")
     p.add_argument("--max-n", type=int, default=30)
-    _add_format_flags(p, csv_flag=True)
+    _add_format_flags(p)
     p.set_defaults(fn=cmd_verify_closed_forms)
 
     p = sub.add_parser("kstar", help="extremal bag order for a given n")
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="maximise a price objective")
     p.add_argument("--mode", required=True, choices=("exhaustive", "heuristic"))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--objective", default="sigma", choices=search.OBJECTIVES)
+    p.add_argument("--objective", default="sigma", choices=OBJECTIVES)
     p.add_argument("--budget", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write a JSON report here")
@@ -350,9 +351,13 @@ def main(argv=None) -> int:
     except (DomainError, SizeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
-    except VerificationError as e:
-        print(f"verification failure: {e}", file=sys.stderr)
-        return EXIT_VERIFY
+    except InvariantViolation as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`); silence the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

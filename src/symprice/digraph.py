@@ -30,6 +30,25 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
+def bfs_levels(rows: tuple[int, ...], s: int, allowed: int) -> Iterator[int]:
+    """Yield the breadth-first levels from s as bitmasks: {s} first, then
+    the vertices at distance 1, 2, ... along paths inside ``allowed``.
+
+    ``rows[i]`` is the out-neighbour bitmask of vertex i.  This is the
+    one frontier-expansion loop of the package.
+    """
+    seen = frontier = 1 << s
+    while frontier:
+        yield frontier
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            nxt |= rows[b.bit_length() - 1]
+            frontier ^= b
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
+
+
 @dataclass(frozen=True)
 class Digraph:
     n: int
@@ -140,15 +159,9 @@ class Digraph:
         """Bitmask of vertices reachable from s (s included), optionally
         restricted to a vertex bitmask."""
         allowed = (1 << self.n) - 1 if within is None else within
-        seen = 1 << s
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for i in iter_bits(frontier):
-                nxt |= self.rows[i]
-            nxt &= allowed & ~seen
-            seen |= nxt
-            frontier = nxt
+        seen = 0
+        for level in bfs_levels(self.rows, s, allowed):
+            seen |= level
         return seen
 
     def is_strongly_connected(self) -> bool:

@@ -1,16 +1,15 @@
 """Shortest-path distances and partial transmission sums.
 
-Distances are computed by per-source breadth-first search with bitset
-frontier expansion.  Unreachable pairs are stored as ``UNREACHABLE``
-(None), never as a sentinel integer, so accidental arithmetic on them
-fails loudly.
+Distances are computed by per-source breadth-first search over the
+bitset levels of ``digraph.bfs_levels``.  Unreachable pairs are stored
+as ``UNREACHABLE`` (None), never as a sentinel integer, so accidental
+arithmetic on them fails loudly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .digraph import Digraph, iter_bits
+from .digraph import Digraph, bfs_levels, iter_bits
 from .errors import DomainError
 
 UNREACHABLE = None
@@ -27,24 +26,13 @@ class DistanceMatrix:
 
 
 def all_pairs_distances(g: Digraph) -> DistanceMatrix:
-    rows = []
     full = (1 << g.n) - 1
+    rows = []
     for s in range(g.n):
         d: list[int | None] = [UNREACHABLE] * g.n
-        d[s] = 0
-        seen = 1 << s
-        frontier = seen
-        depth = 0
-        while frontier:
-            nxt = 0
-            for i in iter_bits(frontier):
-                nxt |= g.rows[i]
-            nxt &= full & ~seen
-            depth += 1
-            for j in iter_bits(nxt):
+        for depth, level in enumerate(bfs_levels(g.rows, s, full)):
+            for j in iter_bits(level):
                 d[j] = depth
-            seen |= nxt
-            frontier = nxt
         rows.append(tuple(d))
     return DistanceMatrix(g.n, tuple(rows))
 
@@ -53,29 +41,14 @@ def bfs_row_sum(g: Digraph, s: int) -> int:
     """Sum of distances from s to every vertex; DomainError if some
     vertex is unreachable."""
     full = (1 << g.n) - 1
-    seen = 1 << s
-    frontier = seen
-    depth = 0
-    total = 0
-    while frontier:
-        nxt = 0
-        for i in iter_bits(frontier):
-            nxt |= g.rows[i]
-        nxt &= full & ~seen
-        depth += 1
-        total += depth * nxt.bit_count()
-        seen |= nxt
-        frontier = nxt
+    seen = total = 0
+    for depth, level in enumerate(bfs_levels(g.rows, s, full)):
+        total += depth * level.bit_count()
+        seen |= level
     if seen != full:
         missing = next(iter_bits(full & ~seen))
         raise DomainError(f"vertex {missing} unreachable from {s}")
     return total
-
-
-def _as_vertices(x) -> list[int]:
-    if isinstance(x, int):
-        return list(iter_bits(x))
-    return list(x)
 
 
 def _entry(d: DistanceMatrix, i: int, j: int) -> int:
@@ -85,28 +58,11 @@ def _entry(d: DistanceMatrix, i: int, j: int) -> int:
     return v
 
 
-def partial_sigma(d: DistanceMatrix, X, Y) -> int:
-    """sigma(X, Y): sum of |x,y| over ordered pairs x in X, y in Y.
-
-    X and Y must be disjoint; both accept bitmasks or vertex iterables.
-    """
-    xs, ys = _as_vertices(X), _as_vertices(Y)
-    if set(xs) & set(ys):
-        raise ValueError("X and Y must be disjoint")
-    return sum(_entry(d, x, y) for x in xs for y in ys)
+def sigma_to_vertex(d: DistanceMatrix, X: int, v: int) -> int:
+    """sigma(X, v): sum of |x,v| over x in the vertex bitmask X."""
+    return sum(_entry(d, x, v) for x in iter_bits(X))
 
 
-def partial_sigma_set(d: DistanceMatrix, X) -> int:
-    """sigma(X): sum of |x,y| over ordered pairs inside X."""
-    xs = _as_vertices(X)
-    return sum(_entry(d, x, y) for x in xs for y in xs if x != y)
-
-
-def sigma_to_vertex(d: DistanceMatrix, X, v: int) -> int:
-    """sigma(X, v): sum of |x,v| over x in X."""
-    return sum(_entry(d, x, v) for x in _as_vertices(X))
-
-
-def sigma_from_vertex(d: DistanceMatrix, v: int, X) -> int:
-    """sigma(v, X): sum of |v,x| over x in X."""
-    return sum(_entry(d, v, x) for x in _as_vertices(X))
+def sigma_from_vertex(d: DistanceMatrix, v: int, X: int) -> int:
+    """sigma(v, X): sum of |v,x| over x in the vertex bitmask X."""
+    return sum(_entry(d, v, x) for x in iter_bits(X))

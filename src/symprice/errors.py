@@ -35,7 +35,3 @@ class FormatError(SympriceError):
 
 class InvariantViolation(SympriceError):
     """An internal structural invariant failed; indicates a bug."""
-
-
-class VerificationError(SympriceError):
-    """A mathematical check (theorem, formula, conjecture) failed."""

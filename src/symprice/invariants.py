@@ -10,35 +10,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .digraph import Digraph, iter_bits
+from .digraph import Digraph, bfs_levels
 from .distances import bfs_row_sum
 from .errors import DomainError
-
-INVARIANTS = ("diameter", "domination", "transmission", "average-distance")
 
 
 def _eccentricity(g: Digraph, s: int) -> int:
     full = (1 << g.n) - 1
-    seen = 1 << s
-    frontier = seen
-    depth = 0
-    while frontier:
-        nxt = 0
-        for i in iter_bits(frontier):
-            nxt |= g.rows[i]
-        nxt &= full & ~seen
-        if nxt:
-            depth += 1
-        seen |= nxt
-        frontier = nxt
+    seen = 0
+    for depth, level in enumerate(bfs_levels(g.rows, s, full)):
+        seen |= level
     if seen != full:
         raise DomainError(f"graph not strongly connected (seen from {s})")
     return depth
 
 
 def diameter(g: Digraph) -> int:
-    if g.n == 1:
-        return 0
     return max(_eccentricity(g, s) for s in range(g.n))
 
 
@@ -98,18 +85,32 @@ class PriceReport:
         }
 
 
-_FUNCS = {
+# The invariant registry: the ``--invariant`` names and their functions.
+INVARIANTS = {
     "diameter": diameter,
     "domination": domination_number,
     "transmission": transmission,
     "average-distance": average_distance,
 }
 
+# Search objectives: each is the difference price of a registry
+# invariant; "sigma" is the transmission one, computed by pos_sigma.
+OBJECTIVES = ("sigma", "diameter", "domination")
+
+
+def objective_fn(name: str):
+    """The function a search maximises for the objective ``name``."""
+    if name == "sigma":
+        return pos_sigma
+    if name not in OBJECTIVES:
+        raise ValueError(f"unknown objective {name!r}, expected one of {OBJECTIVES}")
+    return lambda g: int(price(g, name).pos_minus)
+
 
 def price(g: Digraph, invariant: str) -> PriceReport:
-    if invariant not in _FUNCS:
-        raise ValueError(f"unknown invariant {invariant!r}, expected one of {INVARIANTS}")
-    f = _FUNCS[invariant]
+    if invariant not in INVARIANTS:
+        raise ValueError(f"unknown invariant {invariant!r}, expected one of {tuple(INVARIANTS)}")
+    f = INVARIANTS[invariant]
     value_g = Fraction(f(g))
     value_sym = Fraction(f(g.symmetric_closure()))
     pos_quot = None if value_sym == 0 else value_g / value_sym

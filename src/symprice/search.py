@@ -13,15 +13,17 @@ from __future__ import annotations
 import os
 import random
 import time
+from bisect import insort
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from .digraph import ISO_ORDER_CAP, Digraph, canonical_form
-from .errors import SizeError, VerificationError
-from .invariants import pos_sigma, price
+from .errors import SizeError
+# OBJECTIVES stays importable from here for callers of the search API
+from .invariants import OBJECTIVES, objective_fn, pos_sigma, price  # noqa: F401
 from . import families
 
 DIGRAPH_ORDER_CAP = 6
@@ -130,11 +132,6 @@ def enumerate_digraphs(n: int, strongly_connected: bool = True):
         yield g
 
 
-def enumerate_strongly_connected(n: int):
-    """Shorthand for the strongly connected digraph enumeration."""
-    yield from enumerate_digraphs(n, strongly_connected=True)
-
-
 def enumerate_tournaments(n: int, strongly_connected: bool = True):
     """Yield one representative per isomorphism class of tournaments of
     order n (strongly connected ones by default)."""
@@ -181,25 +178,24 @@ class TheoremReport:
         return self.maximizers_match_family and self.bounds_hold
 
 
-def _max_price_scan(graphs, invariant: str, n: int):
-    best = None
-    maximizers = []
-    bounds_hold = True
-    counterexample = None
-    count = 0
+def _argmax_scan(graphs, value, top_k: int = 0):
+    """One pass over ``graphs``, scoring each with ``value``.
+
+    Returns the best value, its maximisers in enumeration order, the
+    number of graphs scanned, and the ``top_k`` highest (value, graph)
+    pairs, ties kept in enumeration order.
+    """
+    best, ties, top, count = None, [], [], 0
     for g in graphs:
         count += 1
-        pr = price(g, invariant)
-        pm = pr.pos_minus
-        if pr.pos_minus > n - 2 or (pr.pos_quot is not None and pr.pos_quot > n - 1):
-            bounds_hold = False
-            counterexample = counterexample or g
-        if best is None or pm > best:
-            best = pm
-            maximizers = [g]
-        elif pm == best:
-            maximizers.append(g)
-    return best, maximizers, bounds_hold, counterexample, count
+        v = value(g)
+        if best is None or v > best:
+            best, ties = v, [g]
+        elif v == best:
+            ties.append(g)
+        insort(top, (v, g), key=lambda t: -t[0])
+        del top[top_k:]
+    return best, ties, count, top
 
 
 def verify_theorems(n: int) -> list[TheoremReport]:
@@ -218,7 +214,16 @@ def verify_theorems(n: int) -> list[TheoremReport]:
          families.l_set(families.in_star(n), 1)),
     )
     for invariant, graphs, expected in cases:
-        best, maxi, ok_b, cex, count = _max_price_scan(graphs, invariant, n)
+        over_bound: list[Digraph] = []
+
+        def pos_minus(g: Digraph):
+            pr = price(g, invariant)
+            if pr.pos_minus > n - 2 or (pr.pos_quot is not None and pr.pos_quot > n - 1):
+                over_bound.append(g)
+            return pr.pos_minus
+
+        best, maxi, count, _ = _argmax_scan(graphs, pos_minus)
+        cex = over_bound[0] if over_bound else None
         family = {canonical_form(g) for g in expected}
         found = {canonical_form(g) for g in maxi}
         match = found == family and best == n - 2
@@ -234,7 +239,7 @@ def verify_theorems(n: int) -> list[TheoremReport]:
                 bound_quot=n - 1,
                 best_value=int(best),
                 maximizers_match_family=match,
-                bounds_hold=ok_b,
+                bounds_hold=not over_bound,
                 classes_checked=count,
                 counterexample=cex,
             )
@@ -263,27 +268,15 @@ def verify_conjecture(n: int, top_k: int = 5) -> ConjectureReport:
         raise SizeError(f"exhaustive check capped at n={DIGRAPH_ORDER_CAP}, got {n}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    scored: list[tuple[int, Digraph]] = []
-    best = None
-    ties: list[Digraph] = []
-    count = 0
-    for g in enumerate_digraphs(n, strongly_connected=True):
-        count += 1
-        v = pos_sigma(g)
-        if best is None or v > best:
-            best, ties = v, [g]
-        elif v == best:
-            ties.append(g)
-        scored.append((v, g))
-        scored.sort(key=lambda t: -t[0])
-        del scored[top_k:]
+    best, ties, count, top = _argmax_scan(
+        enumerate_digraphs(n, strongly_connected=True), pos_sigma, top_k)
     cyc = canonical_form(families.cycle(n))
     return ConjectureReport(
         n=n,
         best_value=best,
         unique_maximizer=len(ties) == 1,
         maximizer_is_cycle=all(canonical_form(g) == cyc for g in ties),
-        top=scored[:top_k],
+        top=top,
         classes_checked=count,
     )
 
@@ -305,22 +298,11 @@ class SearchOutcome:
         return sorted(_dedup_key(g) for g in self.maximizers)
 
 
-OBJECTIVES = ("sigma", "diameter", "domination")
-
-
 def _dedup_key(g: Digraph) -> bytes:
     """Isomorphism-invariant key where affordable, labelled key beyond."""
     if g.n <= ISO_ORDER_CAP:
         return canonical_form(g)
     return b"L" + repr(g.rows).encode()
-
-
-def _objective_fn(name: str):
-    if name == "sigma":
-        return pos_sigma
-    if name in ("diameter", "domination"):
-        return lambda g: int(price(g, name).pos_minus)
-    raise ValueError(f"unknown objective {name!r}, expected one of {OBJECTIVES}")
 
 
 def worker_count() -> int:
@@ -366,7 +348,7 @@ def _neighbors(g: Digraph):
 
 def _climb(start: Digraph, objective: str, max_evals: int) -> tuple[Digraph, int, int]:
     """Steepest-ascent climb; returns (local optimum, value, evals)."""
-    obj = _objective_fn(objective)
+    obj = objective_fn(objective)
     g = start
     value = obj(g)
     evals = 1
@@ -418,7 +400,7 @@ def hill_climb(
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    _objective_fn(objective)  # validate early
+    objective_fn(objective)  # validate early
     t0 = time.monotonic()
     rng = random.Random(seed)
     starts = _warm_starts(n, objective)
@@ -455,17 +437,10 @@ def hill_climb(
 def exhaustive_search(n: int, objective: str) -> SearchOutcome:
     """Exact maximisation of a price objective over isomorphism classes
     (strongly connected ones; all digraphs for domination)."""
-    obj = _objective_fn(objective)
+    obj = objective_fn(objective)
     t0 = time.monotonic()
     graphs = enumerate_digraphs(n, strongly_connected=objective != "domination")
-    best, maxi, count = None, [], 0
-    for g in graphs:
-        count += 1
-        v = obj(g)
-        if best is None or v > best:
-            best, maxi = v, [g]
-        elif v == best:
-            maxi.append(g)
+    best, maxi, count, _ = _argmax_scan(graphs, obj)
     return SearchOutcome(
         n=n,
         objective=objective,

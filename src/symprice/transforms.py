@@ -185,25 +185,17 @@ def longest_induced_path(g: Digraph, exact_limit: int = EXACT_PATH_LIMIT) -> Ind
     return InducedPath(_lip_greedy(g), False)
 
 
-def _lip_candidates(g: Digraph, last: int, pathmask: int, blocked: int) -> int:
-    tin = 0
-    for i in range(g.n):
-        if g.rows[i] >> last & 1:
-            tin |= 1 << i
-    return g.rows[last] & ~tin & ~pathmask & ~blocked
-
-
 def _lip_exact(g: Digraph) -> tuple[int, ...]:
     best: list[int] = []
+    ins = g.transpose().rows
 
     def extend(path: list[int], pathmask: int, blocked: int) -> None:
         nonlocal best
         if len(path) > len(best):
             best = list(path)
         last = path[-1]
-        in_last = mask_of(i for i in range(g.n) if g.rows[i] >> last & 1)
-        for v in iter_bits(g.rows[last] & ~in_last & ~pathmask & ~blocked):
-            extend(path + [v], pathmask | 1 << v, blocked | g.rows[last] | in_last)
+        for v in iter_bits(g.rows[last] & ~ins[last] & ~pathmask & ~blocked):
+            extend(path + [v], pathmask | 1 << v, blocked | g.rows[last] | ins[last])
 
     for s in range(g.n):
         extend([s], 1 << s, 0)
@@ -212,20 +204,20 @@ def _lip_exact(g: Digraph) -> tuple[int, ...]:
 
 def _lip_greedy(g: Digraph) -> tuple[int, ...]:
     best: list[int] = []
+    ins = g.transpose().rows
     for s in range(g.n):
         path = [s]
         pathmask = 1 << s
         blocked = 0
         while True:
             last = path[-1]
-            in_last = mask_of(i for i in range(g.n) if g.rows[i] >> last & 1)
-            cand = g.rows[last] & ~in_last & ~pathmask & ~blocked
+            cand = g.rows[last] & ~ins[last] & ~pathmask & ~blocked
             if not cand:
                 break
             v = next(iter_bits(cand))
             path.append(v)
             pathmask |= 1 << v
-            blocked |= g.rows[last] | in_last
+            blocked |= g.rows[last] | ins[last]
         if len(path) > len(best):
             best = path
     return tuple(best)
@@ -306,16 +298,16 @@ def detect_bunches(g: Digraph, min_len: int = 2, cross_induced: bool = False) ->
 
 def _induced_paths(g: Digraph, s: int, t: int, min_len: int) -> list[tuple[int, ...]]:
     found: list[tuple[int, ...]] = []
+    ins = g.transpose().rows
 
     def extend(path: list[int], pathmask: int, blocked: int) -> None:
         last = path[-1]
-        in_last = mask_of(i for i in range(g.n) if g.rows[i] >> last & 1)
-        for v in iter_bits(g.rows[last] & ~in_last & ~pathmask & ~blocked):
+        for v in iter_bits(g.rows[last] & ~ins[last] & ~pathmask & ~blocked):
             if v == t:
                 if len(path) >= min_len:
                     found.append(tuple(path + [t]))
                 continue
-            extend(path + [v], pathmask | 1 << v, blocked | g.rows[last] | in_last)
+            extend(path + [v], pathmask | 1 << v, blocked | g.rows[last] | ins[last])
 
     extend([s], 1 << s, 0)
     return found

@@ -1,11 +1,19 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from symprice import io
+import symprice
+from symprice import io, transforms
 from symprice.cli import main
+from symprice.digraph import Digraph
+from symprice.errors import InvariantViolation
 from symprice.families import cycle
+from symprice.invariants import INVARIANTS
 
 
 def run(capsys, *argv):
@@ -59,6 +67,25 @@ def test_verify_closed_forms_csv(capsys):
     rows = list(csv.DictReader(out.splitlines()))
     assert rows and all(r["match"] == "True" for r in rows)
     assert {r["parity"] for r in rows} == {"even", "odd"}
+
+
+def test_verify_closed_forms_json(capsys):
+    code, out, _ = run(capsys, "verify-closed-forms", "--max-n", "12", "--json")
+    obj = json.loads(out)
+    assert code == 0
+    assert obj["schema"] == "symprice/1" and obj["ok"]
+    assert obj["rows"] and all(r["match"] for r in obj["rows"])
+    assert obj["rows"][0]["k"] is None
+
+
+def test_invariant_skips_closure(capsys, monkeypatch):
+    def closure(self):
+        raise AssertionError("invariant must not build the symmetric closure")
+
+    monkeypatch.setattr(Digraph, "symmetric_closure", closure)
+    for name in INVARIANTS:
+        code, out, _ = run(capsys, "invariant", "--family", "cycle:5", "--invariant", name)
+        assert code == 0 and out.startswith(f"{name}: ")
 
 
 def test_kstar(capsys):
@@ -137,6 +164,7 @@ def test_usage_errors(capsys):
     assert main(["nope"]) == 1
     code, _, _ = run(capsys, "construct", "--family", "wat:3")
     assert code == 1
+    assert main(["verify-closed-forms", "--csv"]) == 1
 
 
 def test_domain_error_exit(capsys):
@@ -144,3 +172,28 @@ def test_domain_error_exit(capsys):
                        "--invariant", "transmission")
     assert code == 2
     assert "unreachable" in err
+
+
+def test_internal_error_exit(capsys, tmp_path, monkeypatch):
+    def broken(g, p):
+        raise InvariantViolation("X side not strongly connected")
+
+    monkeypatch.setattr(transforms, "_check_partition", broken)
+    src = tmp_path / "in.txt"
+    io.write_graph_file(cycle(2), src)
+    code, _, err = run(capsys, "transform", "--rule", "break-c2", "--in", str(src))
+    assert code == 4
+    assert err == "internal error: X side not strongly connected\n"
+
+
+def test_closed_stdout_exits_quietly():
+    src = str(Path(symprice.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symprice.cli", "construct", "--family", "complete:200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"n 200\n"
+    proc.stdout.close()  # as `| head -1` does
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""

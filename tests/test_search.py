@@ -10,7 +10,6 @@ from symprice.errors import SizeError
 from symprice.invariants import pos_sigma, transmission
 from symprice.search import (
     enumerate_digraphs,
-    enumerate_strongly_connected,
     enumerate_tournaments,
     exhaustive_search,
     hill_climb,
@@ -41,12 +40,12 @@ def test_enumeration_matches_labelled_oracle(n, sc):
 
 def test_enumeration_known_counts():
     assert sum(1 for _ in enumerate_digraphs(4, strongly_connected=False)) == 218
-    assert sum(1 for _ in enumerate_strongly_connected(4)) == 83
-    assert sum(1 for _ in enumerate_strongly_connected(2)) == 1
+    assert sum(1 for _ in enumerate_digraphs(4, strongly_connected=True)) == 83
+    assert sum(1 for _ in enumerate_digraphs(2, strongly_connected=True)) == 1
 
 
 def test_enumeration_all_strongly_connected():
-    assert all(g.is_strongly_connected() for g in enumerate_strongly_connected(4))
+    assert all(g.is_strongly_connected() for g in enumerate_digraphs(4, strongly_connected=True))
 
 
 def test_enumeration_cap():
