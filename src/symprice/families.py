@@ -173,20 +173,21 @@ def k_star(n: int) -> KStarResult:
     """Extremal bag order: the candidate in {floor(r), ceil(r)} with the
     larger exact transmission price, ties towards the smaller k.
 
-    The floats only locate the candidates; the comparison itself is done
-    with exact integer closed forms.
+    r = (2n-11)/sqrt(2) - n + 8 is irrational, so its floor comes from an
+    integer square root and its ceiling is one more.  The floats r,
+    r_even and r_odd are only reported.
     """
     if n < 11:
         raise DomainError(f"k* is defined for n >= 11, got {n}")
-    r = r_value(n)
-    lo = min(max(math.floor(r), 3), n - 1)
-    hi = min(max(math.ceil(r), 3), n - 1)
+    floor_r = math.isqrt((2 * n - 11) ** 2 // 2) - n + 8
+    lo = min(max(floor_r, 3), n - 1)
+    hi = min(max(floor_r + 1, 3), n - 1)
     candidates = (lo,) if lo == hi else (lo, hi)
     pos = {k: formulas.pos_hnk(n, k) for k in candidates}
     best = max(candidates, key=lambda k: (pos[k], -k))
     return KStarResult(
         n=n,
-        r=r,
+        r=r_value(n),
         r_even=r_even(n),
         r_odd=r_odd(n),
         candidates=candidates,

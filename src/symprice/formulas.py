@@ -6,11 +6,8 @@ coefficient faults instead of silently drifting.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-SIGN_MARGIN = 1e-6
 
 
 def _as_int(x: Fraction, what: str) -> int:
@@ -134,25 +131,29 @@ def best_bag_pos(n: int) -> tuple[int, int]:
     return best_k, best_pos
 
 
-def crossover_poly(n: float) -> float:
-    """The cubic separating the cycle regime from the bag regime;
-    irrational coefficients, evaluated in double precision."""
-    s = math.sqrt(2.0)
-    return (
-        (5.0 - 4.0 * s) / 12.0 * n**3
-        + (11.0 * s - 14.0) / 2.0 * n**2
-        + (944.0 - 707.0 * s) / 24.0 * n
-        + (2453.0 * s - 3408.0) / 48.0
-    )
+# The cubic separating the cycle regime from the bag regime, highest
+# degree first; each coefficient is a + b*sqrt(2), stored as (a, b).
+_CROSSOVER_CUBIC = (
+    (Fraction(5, 12), Fraction(-4, 12)),
+    (Fraction(-14, 2), Fraction(11, 2)),
+    (Fraction(944, 24), Fraction(-707, 24)),
+    (Fraction(-3408, 48), Fraction(2453, 48)),
+)
 
 
-def crossover_sign(n: float, margin: float = SIGN_MARGIN) -> int:
-    """Sign of the crossover cubic: +1, -1, or 0 when within the margin
-    of zero (indeterminate; does not occur at the integers we test)."""
-    v = crossover_poly(n)
-    if abs(v) <= margin:
-        return 0
-    return 1 if v > 0 else -1
+def crossover_sign(n) -> int:
+    """Exact sign (+1, -1 or 0) of the crossover cubic at a rational n.
+
+    The value is A + B*sqrt(2) with rational A and B.  When their signs
+    differ, A^2 against 2B^2 decides whether A dominates, so the value
+    has the sign of A(A^2 - 2B^2); otherwise it has the sign of A + B.
+    """
+    n = Fraction(n)
+    a = b = Fraction(0)
+    for ca, cb in _CROSSOVER_CUBIC:
+        a, b = a * n + ca, b * n + cb
+    v = a + b if a * b >= 0 else a * (a * a - 2 * b * b)
+    return (v > 0) - (v < 0)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,19 @@
 """Exhaustive enumeration and heuristic search.
 
-Enumeration visits exactly one representative per isomorphism class by
-scanning labelled adjacency bitmasks and keeping the masks that are
-minimal under every vertex permutation (vectorised with numpy).  That is
-feasible up to n = 6 for digraphs and n = 7 for tournaments.
+Enumeration scans a space of integer codes for labelled graphs and keeps
+the codes that are minimal under every vertex permutation (vectorised
+with numpy).  There are two code spaces:
+
+- digraphs: one bit per ordered pair (u, v), u != v, set when the arrow
+  u -> v is present; the code is the adjacency mask itself.
+- tournaments: one bit per pair u > v, ordered by (u, v), set when the
+  pair points backward (u -> v) and clear when it points forward.  A
+  permutation that reverses a pair's order flips its bit.
+
+In both spaces code order is adjacency-mask order, so each class is
+represented by its member with the minimal adjacency mask, and the
+representatives come out in ascending mask order.  That is feasible up
+to n = 6 for digraphs and n = 7 for tournaments.
 
 The hill climber is a deterministic steepest-ascent search with warm
 starts from the known extremal families plus seeded random restarts.
@@ -28,91 +38,76 @@ from . import families
 
 DIGRAPH_ORDER_CAP = 6
 TOURNAMENT_ORDER_CAP = 7
-_CHUNK_BITS = 24  # scan granularity for the n=6 mask space
-_STAGE1_PERMS = 48  # per-chunk pre-filter before the full group pass
+_CHUNK_BITS = 24  # codes per scan chunk, as a power of two
+_STAGE1_PERMS = 48  # per-chunk pre-filter before the rest of the group
 
 
-def _slots(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
+class _CodeSpace:
+    """Labelled graphs of order n as integer codes: bit b set means the
+    arrow ``slots[b]``.  Digraph slots are the ordered pairs u != v;
+    tournament slots (``oriented``) are the pairs u > v, where a clear
+    bit means the arrow v -> u.  Slots are in lexicographic order."""
+
+    def __init__(self, n: int, oriented: bool):
+        if n < 1:
+            raise ValueError(f"order must be >= 1, got {n}")
+        self.n, self.oriented = n, oriented
+        self.slots = [(u, v) for u in range(n) for v in range(u if oriented else n) if u != v]
+        self.index = {s: b for b, s in enumerate(self.slots)}
+
+    def perm_tables(self, perm: tuple[int, ...]) -> tuple[int, np.ndarray, np.ndarray]:
+        """Half-code lookup tables for one vertex permutation: where each
+        bit goes, with the bits of reversed pairs flipped."""
+        dest, flip = [], 0
+        for u, v in self.slots:
+            s = (perm[u], perm[v])
+            if s not in self.index:  # the pair's order reversed
+                s = s[::-1]
+                flip |= 1 << self.index[s]
+            dest.append(self.index[s])
+        half = len(dest) // 2
+        return half, _spread(dest[:half]) ^ flip, _spread(dest[half:])
+
+    def decode(self, code: int) -> Digraph:
+        rows = [0] * self.n
+        for b, (u, v) in enumerate(self.slots):
+            if code >> b & 1:
+                rows[u] |= 1 << v
+            elif self.oriented:
+                rows[v] |= 1 << u
+        return Digraph(self.n, tuple(rows))
 
 
-def _perm_dest(n: int, perm: tuple[int, ...]) -> list[int]:
-    slots = _slots(n)
-    index = {s: b for b, s in enumerate(slots)}
-    return [index[(perm[i], perm[j])] for (i, j) in slots]
+def _spread(dest: list[int]) -> np.ndarray:
+    """Table taking each code over len(dest) bits to its bits moved to dest."""
+    table = np.zeros(1 << len(dest), dtype=np.int64)
+    for b, d in enumerate(dest):
+        table[1 << b: 2 << b] = table[: 1 << b] | (1 << d)
+    return table
 
 
-class _PermOp:
-    """Applies one vertex permutation to arrays of adjacency bitmasks.
-
-    Small arrays use a direct per-bit loop; large ones a pair of
-    half-mask lookup tables, built once and cached."""
-
-    def __init__(self, dest: list[int]):
-        self.dest = dest
-        self.nb = len(dest)
-        self.lo_bits = self.nb // 2
-        self._tables: tuple[np.ndarray, np.ndarray] | None = None
-
-    def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._tables is None:
-            lo = np.arange(1 << self.lo_bits, dtype=np.int64)
-            lo_t = np.zeros_like(lo)
-            for b in range(self.lo_bits):
-                lo_t |= ((lo >> b) & 1) << self.dest[b]
-            hi = np.arange(1 << (self.nb - self.lo_bits), dtype=np.int64)
-            hi_t = np.zeros_like(hi)
-            for b in range(self.nb - self.lo_bits):
-                hi_t |= ((hi >> b) & 1) << self.dest[self.lo_bits + b]
-            self._tables = (lo_t, hi_t)
-        return self._tables
-
-    def apply(self, masks: np.ndarray) -> np.ndarray:
-        table_cost = (1 << self.lo_bits) + (1 << (self.nb - self.lo_bits))
-        if self._tables is None and masks.size < table_cost:
-            out = np.zeros_like(masks)
-            for b, d in enumerate(self.dest):
-                out |= ((masks >> b) & 1) << d
-            return out
-        lo_t, hi_t = self._build_tables()
-        return lo_t[masks & ((1 << self.lo_bits) - 1)] | hi_t[masks >> self.lo_bits]
+def _keep_minimal(codes: np.ndarray, perm_tables) -> np.ndarray:
+    """The codes no permutation maps below themselves; the image of a
+    code is two half-code table lookups joined by XOR."""
+    for half, lo, hi in perm_tables:
+        codes = codes[lo[codes & ((1 << half) - 1)] ^ hi[codes >> half] >= codes]
+    return codes
 
 
-def _filter_minimal(masks: np.ndarray, ops) -> np.ndarray:
-    for op in ops:
-        if masks.size == 0:
-            break
-        masks = masks[op.apply(masks) >= masks]
-    return masks
-
-
-def _mask_to_digraph(n: int, mask: int) -> Digraph:
-    rows = [0] * n
-    for b, (i, j) in enumerate(_slots(n)):
-        if mask >> b & 1:
-            rows[i] |= 1 << j
-    return Digraph(n, tuple(rows))
-
-
-def _nontrivial_perms(n: int) -> list[tuple[int, ...]]:
-    return [p for p in permutations(range(n)) if p != tuple(range(n))]
-
-
-def _minimal_digraph_masks(n: int) -> np.ndarray:
-    nb = n * (n - 1)
-    perms = _nontrivial_perms(n)
-    if nb <= _CHUNK_BITS:
-        masks = np.arange(1 << nb, dtype=np.int64)
-        return _filter_minimal(masks, (_PermOp(_perm_dest(n, p)) for p in perms))
-    # n = 6: 2^30 masks, scanned in chunks with a cheap pre-filter, then
-    # the full permutation group on the accumulated survivors.
-    stage1 = [_PermOp(_perm_dest(n, p)) for p in perms[:_STAGE1_PERMS]]
-    survivors = []
-    for start in range(0, 1 << nb, 1 << _CHUNK_BITS):
-        chunk = np.arange(start, start + (1 << _CHUNK_BITS), dtype=np.int64)
-        survivors.append(_filter_minimal(chunk, stage1))
-    masks = np.concatenate(survivors)
-    return _filter_minimal(masks, (_PermOp(_perm_dest(n, p)) for p in perms))
+def _enumerate(space: _CodeSpace, strongly_connected: bool):
+    """Decode the codes that are minimal in their orbit, ascending.
+    Chunks of the code space meet a cheap pre-filter; the survivors meet
+    the rest of the permutation group."""
+    perms = list(permutations(range(space.n)))[1:]  # identity first
+    stage1 = [space.perm_tables(p) for p in perms[:_STAGE1_PERMS]]
+    size, step = 1 << len(space.slots), 1 << _CHUNK_BITS
+    survivors = [_keep_minimal(np.arange(start, min(start + step, size), dtype=np.int64), stage1)
+                 for start in range(0, size, step)]
+    rest = (space.perm_tables(p) for p in perms[_STAGE1_PERMS:])
+    for code in _keep_minimal(np.concatenate(survivors), rest):
+        g = space.decode(int(code))
+        if not strongly_connected or g.is_strongly_connected():
+            yield g
 
 
 def enumerate_digraphs(n: int, strongly_connected: bool = True):
@@ -120,16 +115,7 @@ def enumerate_digraphs(n: int, strongly_connected: bool = True):
     of order n, optionally restricted to strongly connected ones."""
     if n > DIGRAPH_ORDER_CAP:
         raise SizeError(f"digraph enumeration capped at n={DIGRAPH_ORDER_CAP}, got {n}")
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n == 1:
-        yield Digraph.empty(1)
-        return
-    for mask in _minimal_digraph_masks(n):
-        g = _mask_to_digraph(n, int(mask))
-        if strongly_connected and not g.is_strongly_connected():
-            continue
-        yield g
+    yield from _enumerate(_CodeSpace(n, oriented=False), strongly_connected)
 
 
 def enumerate_tournaments(n: int, strongly_connected: bool = True):
@@ -137,25 +123,7 @@ def enumerate_tournaments(n: int, strongly_connected: bool = True):
     order n (strongly connected ones by default)."""
     if n > TOURNAMENT_ORDER_CAP:
         raise SizeError(f"tournament enumeration capped at n={TOURNAMENT_ORDER_CAP}, got {n}")
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n == 1:
-        yield Digraph.empty(1)
-        return
-    slots = _slots(n)
-    index = {s: b for b, s in enumerate(slots)}
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    orient = np.arange(1 << len(pairs), dtype=np.int64)
-    masks = np.zeros_like(orient)
-    for pb, (i, j) in enumerate(pairs):
-        choice = (orient >> pb) & 1
-        masks |= np.where(choice == 1, 1 << index[(i, j)], 1 << index[(j, i)])
-    ops = (_PermOp(_perm_dest(n, p)) for p in _nontrivial_perms(n))
-    for mask in _filter_minimal(masks, ops):
-        g = _mask_to_digraph(n, int(mask))
-        if strongly_connected and not g.is_strongly_connected():
-            continue
-        yield g
+    yield from _enumerate(_CodeSpace(n, oriented=True), strongly_connected)
 
 
 # -- verification ----------------------------------------------------
@@ -206,12 +174,11 @@ def verify_theorems(n: int) -> list[TheoremReport]:
     if n < 3:
         raise ValueError(f"the theorems require n >= 3, got {n}")
     reports = []
-
+    every = list(enumerate_digraphs(n, strongly_connected=False))
     cases = (
-        ("diameter", enumerate_digraphs(n, strongly_connected=True),
+        ("diameter", [g for g in every if g.is_strongly_connected()],
          families.b_family(n)),
-        ("domination", enumerate_digraphs(n, strongly_connected=False),
-         families.l_set(families.in_star(n), 1)),
+        ("domination", every, families.l_set(families.in_star(n), 1)),
     )
     for invariant, graphs, expected in cases:
         over_bound: list[Digraph] = []

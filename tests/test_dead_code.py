@@ -1,5 +1,6 @@
-"""Guard against dead helpers: every module-level function of the
-package must be referenced somewhere in src/, scripts/ or tests/."""
+"""Guard against dead code: every module-level function, class and
+constant of the package must be referenced somewhere in src/, scripts/
+or tests/."""
 import ast
 from pathlib import Path
 
@@ -7,7 +8,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "symprice"
 
 
-def test_every_module_level_function_is_referenced():
+def _unreferenced(kinds):
+    """Names defined by module-level package statements of the given
+    kinds that no src/, scripts/ or tests/ file reads, as a name or an
+    attribute (an assignment target is not a read)."""
     defined: dict[str, str] = {}
     used: set[str] = set()
     for d in ("src", "scripts", "tests"):
@@ -15,12 +19,29 @@ def test_every_module_level_function_is_referenced():
             tree = ast.parse(path.read_text(), filename=str(path))
             if path.parent == PACKAGE:
                 for node in tree.body:
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        defined[node.name] = path.name
+                    if isinstance(node, kinds):
+                        for name in _defined_names(node):
+                            defined[name] = path.name
             for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
-    dead = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+    return sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+
+
+def _defined_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
+def test_every_module_level_function_is_referenced():
+    dead = _unreferenced((ast.FunctionDef, ast.AsyncFunctionDef))
     assert not dead, f"module-level functions referenced nowhere: {dead}"
+
+
+def test_every_module_level_class_and_constant_is_referenced():
+    dead = _unreferenced((ast.ClassDef, ast.Assign, ast.AnnAssign))
+    assert not dead, f"module-level classes and constants referenced nowhere: {dead}"

@@ -95,6 +95,18 @@ def test_k_star_basic():
         families.k_star(10)
 
 
+@pytest.mark.parametrize("n", [10**17, 10**30])
+def test_k_star_candidates_exact_at_large_n(n):
+    # r = (2n-11)/sqrt(2) - n + 8; its floor m - n + 8 satisfies
+    # 2 m^2 <= (2n-11)^2 < 2 (m+1)^2.  Double precision misses it here.
+    r = families.k_star(n)
+    lo, hi = r.candidates
+    m = lo + n - 8
+    assert 2 * m * m <= (2 * n - 11) ** 2 < 2 * (m + 1) ** 2
+    assert hi == lo + 1
+    assert r.k_star in r.candidates
+
+
 def test_build_family_specs():
     assert families.build_family("cycle:5") == families.cycle(5)
     assert families.build_family("bag:8:4") == canonical_bag(8, 4)

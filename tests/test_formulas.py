@@ -1,3 +1,4 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,32 @@ def test_crossover_signs():
     assert formulas.crossover_sign(4) == 1
     assert formulas.crossover_sign(10) == 1
     assert formulas.crossover_sign(11) == -1
+
+
+def _crossover_decimal(x):
+    """The crossover cubic evaluated with 60-digit decimals."""
+    s = Decimal(2).sqrt()
+    return ((5 - 4 * s) / 12 * x**3 + (11 * s - 14) / 2 * x**2
+            + (944 - 707 * s) / 24 * x + (2453 * s - 3408) / 48)
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 1), (3, 4), (10, 11)])
+def test_crossover_sign_exact_near_roots(lo, hi):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = Decimal(lo), Decimal(hi)
+        up = _crossover_decimal(a) > 0
+        for _ in range(120):  # bisect the sign change to ~1e-36
+            mid = (a + b) / 2
+            if (_crossover_decimal(mid) > 0) == up:
+                a = mid
+            else:
+                b = mid
+        for offset in (Fraction(-1, 10**12), Fraction(-1, 10**13), Fraction(1, 10**13),
+                       Fraction(1, 10**12)):
+            q = Fraction(a) + offset
+            v = _crossover_decimal(Decimal(q.numerator) / Decimal(q.denominator))
+            assert formulas.crossover_sign(q) == (1 if v > 0 else -1), (lo, offset)
 
 
 def test_closed_form_report():

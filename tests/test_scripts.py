@@ -1,0 +1,27 @@
+import importlib.util
+from pathlib import Path
+
+from symprice import formulas
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_closed_form_table_check_passes(capsys):
+    script = load_script("closed_form_table")
+    assert script.main(["--max-n", "12", "--check"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_form_table_check_exits_3_on_mismatch(monkeypatch, capsys):
+    script = load_script("closed_form_table")
+    monkeypatch.setattr(formulas, "sigma_hnk", lambda n, k: -1)
+    assert script.main(["--min-n", "11", "--max-n", "12", "--check"]) == 3
+    err = capsys.readouterr().err
+    assert "n=11" in err and "n=12" in err

@@ -20,22 +20,59 @@ from symprice.search import (
 )
 
 
+def labelled_classes(graphs, strongly_connected):
+    """Canonical forms of the given labelled graphs, deduplicated."""
+    return {canonical_form(g) for g in graphs
+            if not strongly_connected or g.is_strongly_connected()}
+
+
 def brute_force_classes(n, strongly_connected):
     """Independent labelled enumeration with canonical-form dedup."""
     slots = [(i, j) for i in range(n) for j in range(n) if i != j]
-    seen = set()
-    for bits in range(1 << len(slots)):
-        g = Digraph.from_arrows(n, [s for b, s in enumerate(slots) if bits >> b & 1])
-        if strongly_connected and not g.is_strongly_connected():
-            continue
-        seen.add(canonical_form(g))
-    return seen
+    return labelled_classes(
+        (Digraph.from_arrows(n, [s for b, s in enumerate(slots) if bits >> b & 1])
+         for bits in range(1 << len(slots))), strongly_connected)
+
+
+def brute_force_tournament_classes(n, strongly_connected):
+    """Every orientation of every pair, deduplicated by canonical form."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return labelled_classes(
+        (Digraph.from_arrows(n, [(j, i) if bits >> b & 1 else (i, j)
+                                 for b, (i, j) in enumerate(pairs)])
+         for bits in range(1 << len(pairs))), strongly_connected)
+
+
+def adjacency_mask(g):
+    """Bit (i, j) of the row-major off-diagonal slots, set iff i -> j."""
+    slots = [(i, j) for i in range(g.n) for j in range(g.n) if i != j]
+    return sum(1 << b for b, (i, j) in enumerate(slots) if g.has_arrow(i, j))
 
 
 @pytest.mark.parametrize("n,sc", [(2, False), (3, False), (2, True), (3, True)])
 def test_enumeration_matches_labelled_oracle(n, sc):
     got = {canonical_form(g) for g in enumerate_digraphs(n, strongly_connected=sc)}
     assert got == brute_force_classes(n, sc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("sc", [False, True])
+def test_tournament_enumeration_matches_labelled_oracle(n, sc):
+    got = [canonical_form(g) for g in enumerate_tournaments(n, strongly_connected=sc)]
+    assert len(got) == len(set(got))
+    assert set(got) == brute_force_tournament_classes(n, sc)
+
+
+@pytest.mark.parametrize("enumerate_fn,n", [(enumerate_digraphs, 3), (enumerate_digraphs, 4),
+                                            (enumerate_tournaments, 5), (enumerate_tournaments, 6)])
+def test_representatives_have_minimal_mask_in_ascending_order(enumerate_fn, n):
+    masks = []
+    for g in enumerate_fn(n, strongly_connected=False):
+        mask = adjacency_mask(g)
+        assert mask == min(adjacency_mask(g.relabel(p))
+                           for p in itertools.permutations(range(n)))
+        masks.append(mask)
+    assert masks == sorted(masks)
 
 
 def test_enumeration_known_counts():
@@ -54,12 +91,14 @@ def test_enumeration_cap():
 
 
 def test_tournament_counts():
-    # all: 1, 2, 4, 12; strongly connected: 1, 1, 6
+    # all: 2, 4, 12, 56 (A000568); strongly connected: 1, 1, 6, 35
     assert sum(1 for _ in enumerate_tournaments(3, strongly_connected=False)) == 2
     assert sum(1 for _ in enumerate_tournaments(4, strongly_connected=False)) == 4
     assert sum(1 for _ in enumerate_tournaments(5, strongly_connected=False)) == 12
     assert sum(1 for _ in enumerate_tournaments(3)) == 1
     assert sum(1 for _ in enumerate_tournaments(5)) == 6
+    assert sum(1 for _ in enumerate_tournaments(6, strongly_connected=False)) == 56
+    assert sum(1 for _ in enumerate_tournaments(6)) == 35
 
 
 def test_tournaments_are_tournaments():
