@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io as _stdio
 import json
 import os
@@ -195,11 +196,14 @@ def cmd_transform(args) -> int:
 
 
 def cmd_search(args) -> int:
+    # the flags given; hill_climb supplies the defaults
+    heuristic = {k: v for k in ("budget", "seed") if (v := getattr(args, k)) is not None}
     if args.mode == "exhaustive":
+        if heuristic:
+            raise ValueError("--budget and --seed apply to --mode heuristic only")
         outcome = search.exhaustive_search(args.n, args.objective)
     else:
-        outcome = search.hill_climb(args.n, args.objective,
-                                    budget=args.budget, seed=args.seed)
+        outcome = search.hill_climb(args.n, args.objective, **heuristic)
     report = {
         "schema": SCHEMA,
         "n": outcome.n,
@@ -211,6 +215,8 @@ def cmd_search(args) -> int:
         "elapsed": outcome.elapsed,
         "maximizers": [io.to_text(g) for g in outcome.maximizers],
     }
+    if not outcome.exhaustive:
+        report["restarts"] = [dataclasses.asdict(r) for r in outcome.restarts]
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w") as f:
@@ -316,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=("exhaustive", "heuristic"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--objective", default="sigma", choices=OBJECTIVES)
-    p.add_argument("--budget", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, help="objective evaluations (heuristic mode)")
+    p.add_argument("--seed", type=int, help="random seed (heuristic mode)")
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(fn=cmd_search)
 

@@ -12,7 +12,10 @@ from itertools import combinations
 
 from .digraph import Digraph, bfs_levels
 from .distances import bfs_row_sum
-from .errors import DomainError
+from .errors import DomainError, SizeError
+
+# Up to 2^n vertex subsets: the empty graph at n = 20 takes about 0.6 s
+DOMINATION_ORDER_CAP = 20
 
 
 def _eccentricity(g: Digraph, s: int) -> int:
@@ -45,8 +48,10 @@ def domination_number(g: Digraph) -> int:
 
     Vertex i dominates j iff the arrow (i, j) is present; members of the
     dominating set cover themselves.  Exhaustive search by increasing
-    cardinality; fine for the n <= 12 orders used here.
+    cardinality, so orders above ``DOMINATION_ORDER_CAP`` raise SizeError.
     """
+    if g.n > DOMINATION_ORDER_CAP:
+        raise SizeError(f"domination number capped at n={DOMINATION_ORDER_CAP}, got {g.n}")
     full = (1 << g.n) - 1
     cover = [1 << v | g.rows[v] for v in range(g.n)]
     for k in range(1, g.n + 1):

@@ -17,6 +17,25 @@ to n = 6 for digraphs and n = 7 for tournaments.
 
 The hill climber is a deterministic steepest-ascent search with warm
 starts from the known extremal families plus seeded random restarts.
+A step scores every single-arrow move (removal, addition, reversal)
+that keeps the graph strongly connected and takes the first strictly
+best one.  For the transmission objective the moves are scored from the
+distance matrices D of G and D' of its closure, computed once per step
+(incremental all-pairs shortest paths, after Ausiello, Italiano,
+Marchetti-Spaccamela & Nanni 1991 and Demetrescu & Italiano 2004):
+
+- adding u -> v: every distance becomes min(D[s,t], D[s,u] + 1 + D[v,t]),
+  vectorised over all v for one u; the closure gains the edge {u, v},
+  usable both ways;
+- removing u -> v: only the rows of sources s that are tight for the
+  arrow, D[s,v] = D[s,u] + 1, can change, and only those are searched
+  again.  Source u is always tight, and its new row is complete exactly
+  when the graph stays strongly connected.  If v -> u is absent the
+  closure loses {u, v}; its changed rows are those with D'[s,u] != D'[s,v];
+- reversing u -> v (v -> u absent): the closure is unchanged; the rows
+  searched again are the tight sources and those with D[s,v] + 1 < D[s,u].
+
+Other objectives price each neighbour with their registry function.
 """
 from __future__ import annotations
 
@@ -31,6 +50,7 @@ from itertools import permutations
 import numpy as np
 
 from .digraph import ISO_ORDER_CAP, Digraph, canonical_form
+from .distances import all_pairs_distances, level_sum
 from .errors import SizeError
 # OBJECTIVES stays importable from here for callers of the search API
 from .invariants import OBJECTIVES, objective_fn, pos_sigma, price  # noqa: F401
@@ -251,6 +271,17 @@ def verify_conjecture(n: int, top_k: int = 5) -> ConjectureReport:
 # -- heuristic search ------------------------------------------------
 
 
+@dataclass(frozen=True)
+class RestartRecord:
+    """One climb of a heuristic search: its start (a family spec such as
+    ``bag:12:5``, or ``random``), the objective there and at the local
+    optimum, and the evaluations it spent."""
+    start: str
+    start_value: int
+    end_value: int
+    evals: int
+
+
 @dataclass
 class SearchOutcome:
     n: int
@@ -260,6 +291,7 @@ class SearchOutcome:
     exhaustive: bool
     graphs_visited: int
     elapsed: float
+    restarts: tuple[RestartRecord, ...] = ()  # heuristic searches only, in start order
 
     def canonical_maximizers(self) -> list[bytes]:
         return sorted(_dedup_key(g) for g in self.maximizers)
@@ -313,41 +345,116 @@ def _neighbors(g: Digraph):
                 yield h
 
 
-def _climb(start: Digraph, objective: str, max_evals: int) -> tuple[Digraph, int, int]:
-    """Steepest-ascent climb; returns (local optimum, value, evals)."""
+def _toggled(rows: tuple[int, ...], *arrows: tuple[int, int]) -> tuple[int, ...]:
+    """Adjacency rows with each given arrow flipped (removed if present,
+    added if absent)."""
+    out = list(rows)
+    for u, v in arrows:
+        out[u] ^= 1 << v
+    return tuple(out)
+
+
+def _rescan(rows: tuple[int, ...], sources, old: list[int]) -> int | None:
+    """Change of the distance sum over ``sources`` once the adjacency is
+    ``rows`` (old row sums in ``old``), or None if a source no longer
+    reaches every vertex."""
+    full = (1 << len(rows)) - 1
+    delta = 0
+    for s in sources:
+        total, seen = level_sum(rows, s)
+        if seen != full:
+            return None
+        delta += total - old[s]
+    return delta
+
+
+def _sigma_moves(g: Digraph):
+    """Yield (pos_sigma(h), h.rows) for the neighbours h of the strongly
+    connected g, in the order of ``_neighbors``, from the distance
+    matrices of g and of its closure."""
+    n, rows = g.n, g.rows
+    closure = g.symmetric_closure()
+    d = np.array(all_pairs_distances(g).dist, dtype=np.int64)
+    dc = np.array(all_pairs_distances(closure).dist, dtype=np.int64)
+    row_sum, row_sum_c = d.sum(axis=1).tolist(), dc.sum(axis=1).tolist()
+    sigma, sigma_c = sum(row_sum), sum(row_sum_c)
+    arrows = list(g.arrows())
+
+    def u_first(u, changed):
+        # u's new row is complete iff the graph stays strongly connected
+        return [u, *(s for s in np.flatnonzero(changed).tolist() if s != u)]
+
+    for u, v in arrows:  # removals: only sources with a shortest path through u -> v change
+        h = _toggled(rows, (u, v))
+        delta = _rescan(h, u_first(u, d[:, v] == d[:, u] + 1), row_sum)
+        if delta is None:
+            continue
+        delta_c = 0
+        if not rows[v] >> u & 1:  # the closure loses the edge {u, v}
+            delta_c = _rescan(_toggled(closure.rows, (u, v), (v, u)),
+                              np.flatnonzero(dc[:, u] != dc[:, v]).tolist(), row_sum_c)
+        yield sigma + delta - sigma_c - delta_c, h
+    for u in range(n):  # additions: one new arrow shortens s -> t to d(s,u) + 1 + d(v,t)
+        vs = [v for v in range(n) if v != u and not rows[u] >> v & 1]
+        if not vs:
+            continue
+        via = d[:, u, None] + 1 + d[vs][:, None, :]
+        new = np.minimum(d, via).sum(axis=(1, 2))
+        via_c = np.minimum(dc, dc[:, u, None] + 1 + dc[vs][:, None, :])
+        # the closure gains {u, v}; dc is symmetric, so the transpose covers v -> u
+        new_c = np.minimum(via_c, via_c.transpose(0, 2, 1)).sum(axis=(1, 2))
+        for v, value in zip(vs, (new - new_c).tolist()):
+            yield value, _toggled(rows, (u, v))
+    for u, v in arrows:  # reversals: the closure is unchanged
+        if rows[v] >> u & 1:
+            continue
+        h = _toggled(rows, (u, v), (v, u))
+        delta = _rescan(h, u_first(u, (d[:, v] == d[:, u] + 1) | (d[:, v] + 1 < d[:, u])), row_sum)
+        if delta is not None:
+            yield sigma + delta - sigma_c, h
+
+
+def _climb(start: Digraph, objective: str, max_evals: int) -> tuple[Digraph, int, int, int]:
+    """Steepest-ascent climb; returns (local optimum, start value, value,
+    evals).  Each step takes the first strictly best neighbour."""
     obj = objective_fn(objective)
+    if objective == "sigma":
+        moves = _sigma_moves
+    else:
+        def moves(g):
+            return ((obj(h), h.rows) for h in _neighbors(g))
     g = start
-    value = obj(g)
+    start_value = value = obj(g)
     evals = 1
     while evals < max_evals:
-        best_move, best_val = None, value
-        for h in _neighbors(g):
+        best_rows, best_val = None, value
+        for v, h_rows in moves(g):
             evals += 1
-            v = obj(h)
             if v > best_val:
-                best_move, best_val = h, v
+                best_rows, best_val = h_rows, v
             if evals >= max_evals:
                 break
-        if best_move is None:
+        if best_rows is None:
             break
-        g, value = best_move, best_val
-    return g, value, evals
+        g, value = Digraph(g.n, best_rows), best_val
+    return g, start_value, value, evals
 
 
-def _warm_starts(n: int, objective: str) -> list[Digraph]:
-    starts = [families.cycle(n)]
+def _warm_starts(n: int, objective: str) -> list[tuple[str, Digraph]]:
+    """The family starts as (family spec, graph) pairs."""
+    starts = [(f"cycle:{n}", families.cycle(n))]
     if n >= 3:
-        starts.append(families.backward_tournament(n))
+        starts.append((f"backward:{n}", families.backward_tournament(n)))
     if objective == "sigma":
-        starts.extend(families.canonical_bag(n, k) for k in range(3, n))
+        starts.extend((f"bag:{n}:{k}", families.canonical_bag(n, k)) for k in range(3, n))
     return starts
 
 
-def _run_restart(args) -> tuple[int, bytes, int, tuple[int, ...]]:
+def _run_restart(args) -> tuple[int, int, bytes, int, tuple[int, ...]]:
     start, objective, cap = args
-    g, value, evals = _climb(start, objective, cap)
+    g, start_value, value, evals = _climb(start, objective, cap)
     # Digraph is cheap to rebuild; ship rows to stay picklable and small
-    return value, _dedup_key(g), evals, g.rows
+    return start_value, value, _dedup_key(g), evals, g.rows
 
 
 def hill_climb(
@@ -362,20 +469,23 @@ def hill_climb(
 
     Warm starts from the cycle, backward tournament and (for the
     transmission objective) every canonical bag guarantee the search
-    never reports worse than the best known family member.  Fixed seed
+    never reports worse than the best known family member.  Each start
+    gets ``budget // starts`` evaluations (at least 50).  Fixed seed
     gives identical outcomes up to the elapsed-time field.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
     objective_fn(objective)  # validate early
     t0 = time.monotonic()
     rng = random.Random(seed)
     starts = _warm_starts(n, objective)
     if restarts is None:
         restarts = max(4, budget // max(1, 40 * n * n))
-    starts.extend(random_strongly_connected(n, rng) for _ in range(restarts))
+    starts.extend(("random", random_strongly_connected(n, rng)) for _ in range(restarts))
     cap = max(50, budget // len(starts))
-    jobs = [(s, objective, cap) for s in starts]
+    jobs = [(g, objective, cap) for _, g in starts]
 
     workers = min(worker_count(), len(jobs))
     if workers > 1:
@@ -384,10 +494,10 @@ def hill_climb(
     else:
         results = [_run_restart(j) for j in jobs]
 
-    visited = sum(r[2] for r in results)
-    best_value = max(r[0] for r in results)
+    visited = sum(r[3] for r in results)
+    best_value = max(r[1] for r in results)
     seen: dict[bytes, Digraph] = {}
-    for value, canon, _, rows in results:
+    for _, value, canon, _, rows in results:
         if value == best_value and canon not in seen:
             seen[canon] = Digraph(n, rows)
     return SearchOutcome(
@@ -398,6 +508,8 @@ def hill_climb(
         exhaustive=False,
         graphs_visited=visited,
         elapsed=time.monotonic() - t0,
+        restarts=tuple(RestartRecord(name, start_value, value, evals)
+                       for (name, _), (start_value, value, _, evals, _) in zip(starts, results)),
     )
 
 

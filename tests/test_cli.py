@@ -145,6 +145,40 @@ def test_search_heuristic(capsys):
     assert "best sigma price at n=5: 20" in out
 
 
+def test_search_heuristic_report_records_restarts(capsys, tmp_path):
+    rep = tmp_path / "report.json"
+    code, _, _ = run(capsys, "search", "--mode", "heuristic", "--n", "6",
+                     "--budget", "600", "--seed", "2", "--out", str(rep))
+    assert code == 0
+    obj = json.loads(rep.read_text())
+    restarts = obj["restarts"]
+    assert [r["start"] for r in restarts[:6]] == ["cycle:6", "backward:6", "bag:6:3",
+                                                  "bag:6:4", "bag:6:5", "random"]
+    assert sum(r["evals"] for r in restarts) == obj["graphs_visited"]
+    assert max(r["end_value"] for r in restarts) == obj["best_value"]
+    assert all(r["end_value"] >= r["start_value"] for r in restarts)
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_search_rejects_non_positive_budget(capsys, budget):
+    code, _, err = run(capsys, "search", "--mode", "heuristic", "--n", "6", "--budget", budget)
+    assert code == 1
+    assert "budget must be positive" in err
+
+
+@pytest.mark.parametrize("flag", [["--budget", "100"], ["--seed", "3"]])
+def test_search_exhaustive_rejects_heuristic_flags(capsys, flag):
+    code, _, err = run(capsys, "search", "--mode", "exhaustive", "--n", "3", *flag)
+    assert code == 1
+    assert "heuristic only" in err
+
+
+def test_domination_size_guard(capsys):
+    code, out, err = run(capsys, "price", "--family", "cycle:40", "--invariant", "domination")
+    assert code == 2
+    assert err.startswith("error: domination number capped") and "Traceback" not in err
+
+
 def test_verify_theorems_exit_codes(capsys):
     code, out, _ = run(capsys, "verify-theorems", "--n", "4")
     assert code == 0 and "[ok]" in out

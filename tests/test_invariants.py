@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 
 from symprice import families
-from symprice.errors import DomainError
+from symprice.errors import DomainError, SizeError
 from symprice.invariants import (
+    DOMINATION_ORDER_CAP,
     average_distance,
     diameter,
     domination_number,
@@ -76,3 +77,11 @@ def test_price_report_json():
 def test_unknown_invariant():
     with pytest.raises(ValueError):
         price(families.cycle(3), "girth")
+
+
+def test_domination_order_cap():
+    # the cap admits every order priced elsewhere (bags to n = 16, the climber's n)
+    assert DOMINATION_ORDER_CAP >= 16
+    assert domination_number(families.cycle(DOMINATION_ORDER_CAP)) == DOMINATION_ORDER_CAP // 2
+    with pytest.raises(SizeError):
+        domination_number(families.cycle(DOMINATION_ORDER_CAP + 1))
