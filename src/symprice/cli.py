@@ -58,11 +58,10 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _load_graph(args) -> Digraph:
-    if getattr(args, "family", None):
+    # argparse requires exactly one of --family and --in
+    if args.family is not None:
         return families.build_family(args.family)
-    if getattr(args, "input", None):
-        return io.parse_graph_file(args.input)
-    raise ValueError("provide either --family or --in")
+    return io.parse_graph_file(args.input)
 
 
 # -- subcommands -----------------------------------------------------
@@ -109,6 +108,8 @@ def cmd_price(args) -> int:
 def cmd_verify_closed_forms(args) -> int:
     from .invariants import transmission
 
+    if args.max_n < 2:
+        raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
     # (n, k, the number whose parity is reported, graph, its sigma, closure sigma)
     cases = [(n, None, n, families.cycle(n),
               formulas.sigma_cycle(n), formulas.sigma_cycle_sym(n))
@@ -294,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn in (("invariant", cmd_invariant), ("price", cmd_price)):
         p = sub.add_parser(name, help=f"compute an {name} on a graph")
-        p.add_argument("--family", help="family specifier, e.g. cycle:6")
-        p.add_argument("--in", dest="input", help="graph file (text or JSON)")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--family", help="family specifier, e.g. cycle:6")
+        source.add_argument("--in", dest="input", help="graph file (text or JSON)")
         p.add_argument("--invariant", required=True, choices=INVARIANTS)
         _add_format_flags(p)
         p.set_defaults(fn=fn)

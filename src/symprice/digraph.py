@@ -9,9 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import SizeError
 
 ISO_ORDER_CAP = 10  # canonical forms are only claimed up to this order
+BATCH_CHUNK = 1 << 15  # graphs per slice of the batched kernels, to bound memory
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -35,7 +38,8 @@ def bfs_levels(rows: tuple[int, ...], s: int, allowed: int) -> Iterator[int]:
     the vertices at distance 1, 2, ... along paths inside ``allowed``.
 
     ``rows[i]`` is the out-neighbour bitmask of vertex i.  This is the
-    one frontier-expansion loop of the package.
+    one frontier-expansion loop of the package; ``bfs_arrays`` is its
+    batched twin.
     """
     seen = frontier = 1 << s
     while frontier:
@@ -47,6 +51,47 @@ def bfs_levels(rows: tuple[int, ...], s: int, allowed: int) -> Iterator[int]:
             frontier ^= b
         frontier = nxt & allowed & ~seen
         seen |= frontier
+
+
+def bfs_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breadth-first search from every source of every graph in ``rows``.
+
+    ``rows`` is an int64 array of shape (N, n); ``rows[k, i]`` is the
+    out-neighbour mask of vertex i in graph k.  The level recurrence is
+    that of ``bfs_levels``, run for all N * n sources at once: the next
+    frontier is the OR of ``rows[:, j]`` over the frontier bits j, less
+    the vertices seen.  Returns, per graph, the sum of the distances
+    reached, the largest depth reached (the diameter of a strongly
+    connected graph) and whether every source reached every vertex.
+    """
+    count, n = rows.shape
+    total = np.zeros(count, np.int64)
+    depth_max = np.zeros(count, np.int64)
+    reached = np.zeros(count, bool)
+    for lo in range(0, count, BATCH_CHUNK):
+        r = rows[lo:lo + BATCH_CHUNK]
+        frontier = np.broadcast_to(1 << np.arange(n, dtype=np.int64), r.shape).copy()
+        seen = frontier.copy()
+        for depth in range(1, n):
+            nxt = np.zeros_like(frontier)
+            for j in range(n):
+                nxt |= -(frontier >> j & 1) & r[:, j, None]
+            frontier = nxt & ~seen
+            seen |= frontier
+            total[lo:lo + BATCH_CHUNK] += depth * np.bitwise_count(frontier).sum(axis=1, dtype=np.int64)
+            depth_max[lo:lo + BATCH_CHUNK][frontier.any(axis=1)] = depth
+        reached[lo:lo + BATCH_CHUNK] = (seen == (1 << n) - 1).all(axis=1)
+    return total, depth_max, reached
+
+
+def closure_array(rows: np.ndarray) -> np.ndarray:
+    """Batched ``Digraph.symmetric_closure``: rows | transpose(rows) for
+    an (N, n) array of row masks."""
+    shifts = np.arange(rows.shape[1], dtype=np.int64)
+    closure = rows.copy()
+    for i in range(rows.shape[1]):
+        closure |= (rows[:, i, None] >> shifts & 1) << i  # arrow i -> j adds j -> i
+    return closure
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .digraph import Digraph, bfs_levels
+import numpy as np
+
+from .digraph import Digraph, bfs_arrays, bfs_levels, closure_array
 from .distances import bfs_row_sum
 from .errors import DomainError, SizeError
 
@@ -64,6 +66,24 @@ def domination_number(g: Digraph) -> int:
     raise AssertionError("unreachable: V always dominates")
 
 
+def _domination_array(rows: np.ndarray) -> np.ndarray:
+    """Batched ``domination_number``: subsets by increasing size, and the
+    first size at which some subset's covers OR to the full mask."""
+    n = rows.shape[1]
+    if n > DOMINATION_ORDER_CAP:
+        raise SizeError(f"domination number capped at n={DOMINATION_ORDER_CAP}, got {n}")
+    full = (1 << n) - 1
+    cover = rows | 1 << np.arange(n, dtype=np.int64)
+    found = np.zeros(len(rows), np.int64)  # 0 until a dominating subset is seen
+    for k in range(1, n + 1):
+        for subset in combinations(range(n), k):
+            hit = np.bitwise_or.reduce(cover[:, subset], axis=1) == full
+            found[hit & (found == 0)] = k
+        if found.all():
+            break
+    return found
+
+
 def pos_sigma(g: Digraph) -> int:
     """sigma(G) - sigma of the symmetric closure; always >= 0."""
     return transmission(g) - transmission(g.symmetric_closure())
@@ -103,13 +123,40 @@ INVARIANTS = {
 OBJECTIVES = ("sigma", "diameter", "domination")
 
 
-def objective_fn(name: str):
-    """The function a search maximises for the objective ``name``."""
-    if name == "sigma":
-        return pos_sigma
+def objective_invariant(name: str) -> str:
+    """The registry invariant whose difference price is the objective ``name``."""
     if name not in OBJECTIVES:
         raise ValueError(f"unknown objective {name!r}, expected one of {OBJECTIVES}")
-    return lambda g: int(price(g, name).pos_minus)
+    return "transmission" if name == "sigma" else name
+
+
+def objective_fn(name: str):
+    """The function a search maximises for the objective ``name``."""
+    invariant = objective_invariant(name)
+    if invariant == "transmission":
+        return pos_sigma
+    return lambda g: int(price(g, invariant).pos_minus)
+
+
+def invariant_array(rows: np.ndarray, invariant: str) -> np.ndarray:
+    """Batched twin of the registry: the int64 value of ``invariant``
+    (transmission, diameter or domination) for every graph of an (N, n)
+    array of row masks.  Distance invariants need strongly connected
+    graphs, as their scalar functions do."""
+    if invariant == "domination":
+        return _domination_array(rows)
+    if invariant not in ("transmission", "diameter"):
+        raise ValueError(f"no batched {invariant!r}, expected transmission, diameter or domination")
+    total, depth_max, reached = bfs_arrays(rows)
+    if not reached.all():
+        raise DomainError(f"graph {rows[~reached][0].tolist()} not strongly connected")
+    return total if invariant == "transmission" else depth_max
+
+
+def price_arrays(rows: np.ndarray, invariant: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``invariant`` values of every graph and of its symmetric
+    closure, as ``price`` gives them one graph at a time."""
+    return invariant_array(rows, invariant), invariant_array(closure_array(rows), invariant)
 
 
 def price(g: Digraph, invariant: str) -> PriceReport:

@@ -13,7 +13,21 @@ with numpy).  There are two code spaces:
 In both spaces code order is adjacency-mask order, so each class is
 represented by its member with the minimal adjacency mask, and the
 representatives come out in ascending mask order.  That is feasible up
-to n = 6 for digraphs and n = 7 for tournaments.
+to n = 6 for digraphs and n = 7 for tournaments.  The surviving codes
+are decoded, one bit plane at a time, into an (N, n) int64 array of
+adjacency row masks; the strong-connectivity filter is the reached-all
+flag of the batched kernel ``digraph.bfs_arrays``, and a ``Digraph`` is
+built only for each class yielded.
+
+The exhaustive scans (``verify_conjecture``, ``verify_theorems``,
+``exhaustive_search``) read the enumerated classes back into such a row
+array and score every class at once with ``invariants.price_arrays``
+(batched BFS, domination and closure, all int64); ``_argmax_scan``
+picks the maximisers and the top entries from the value array.  Every
+graph a report names (each maximiser, top entry and counterexample) is
+priced again by the scalar ``price``, and a disagreement raises
+InvariantViolation.  Single graphs keep the scalar path:
+``digraph.bfs_levels`` stays the only scalar frontier loop.
 
 The hill climber is a deterministic steepest-ascent search with warm
 starts from the known extremal families plus seeded random restarts.
@@ -42,23 +56,22 @@ from __future__ import annotations
 import os
 import random
 import time
-from bisect import insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .digraph import ISO_ORDER_CAP, Digraph, canonical_form
+from .digraph import BATCH_CHUNK, ISO_ORDER_CAP, Digraph, bfs_arrays, canonical_form
 from .distances import all_pairs_distances, level_sum
-from .errors import SizeError
+from .errors import InvariantViolation, SizeError
 # OBJECTIVES stays importable from here for callers of the search API
-from .invariants import OBJECTIVES, objective_fn, pos_sigma, price  # noqa: F401
+from .invariants import OBJECTIVES, objective_fn, objective_invariant, price, price_arrays  # noqa: F401
 from . import families
 
 DIGRAPH_ORDER_CAP = 6
 TOURNAMENT_ORDER_CAP = 7
-_CHUNK_BITS = 24  # codes per scan chunk, as a power of two
+_CHUNK_BITS = 22  # codes per scan chunk, as a power of two (32 MB of int64)
 _STAGE1_PERMS = 48  # per-chunk pre-filter before the rest of the group
 
 
@@ -88,14 +101,16 @@ class _CodeSpace:
         half = len(dest) // 2
         return half, _spread(dest[:half]) ^ flip, _spread(dest[half:])
 
-    def decode(self, code: int) -> Digraph:
-        rows = [0] * self.n
+    def rows(self, codes: np.ndarray) -> np.ndarray:
+        """The (N, n) adjacency row masks of the codes, one bit plane
+        (slot) at a time."""
+        rows = np.zeros((len(codes), self.n), dtype=np.int64)
         for b, (u, v) in enumerate(self.slots):
-            if code >> b & 1:
-                rows[u] |= 1 << v
-            elif self.oriented:
-                rows[v] |= 1 << u
-        return Digraph(self.n, tuple(rows))
+            bit = codes >> b & 1
+            rows[:, u] |= bit << v
+            if self.oriented:
+                rows[:, v] |= (bit ^ 1) << u
+        return rows
 
 
 def _spread(dest: list[int]) -> np.ndarray:
@@ -115,19 +130,23 @@ def _keep_minimal(codes: np.ndarray, perm_tables) -> np.ndarray:
 
 
 def _enumerate(space: _CodeSpace, strongly_connected: bool):
-    """Decode the codes that are minimal in their orbit, ascending.
+    """Yield the graphs whose codes are minimal in their orbit, ascending.
     Chunks of the code space meet a cheap pre-filter; the survivors meet
-    the rest of the permutation group."""
+    the rest of the permutation group, and are decoded and filtered for
+    strong connectivity as row arrays, a slice at a time."""
     perms = list(permutations(range(space.n)))[1:]  # identity first
     stage1 = [space.perm_tables(p) for p in perms[:_STAGE1_PERMS]]
     size, step = 1 << len(space.slots), 1 << _CHUNK_BITS
     survivors = [_keep_minimal(np.arange(start, min(start + step, size), dtype=np.int64), stage1)
                  for start in range(0, size, step)]
     rest = (space.perm_tables(p) for p in perms[_STAGE1_PERMS:])
-    for code in _keep_minimal(np.concatenate(survivors), rest):
-        g = space.decode(int(code))
-        if not strongly_connected or g.is_strongly_connected():
-            yield g
+    codes = _keep_minimal(np.concatenate(survivors), rest)
+    for lo in range(0, len(codes), BATCH_CHUNK):
+        rows = space.rows(codes[lo:lo + BATCH_CHUNK])
+        if strongly_connected:
+            rows = rows[bfs_arrays(rows)[2]]
+        for r in rows.tolist():
+            yield Digraph(space.n, tuple(r))
 
 
 def enumerate_digraphs(n: int, strongly_connected: bool = True):
@@ -166,24 +185,40 @@ class TheoremReport:
         return self.maximizers_match_family and self.bounds_hold
 
 
-def _argmax_scan(graphs, value, top_k: int = 0):
-    """One pass over ``graphs``, scoring each with ``value``.
+def _class_rows(graphs, n: int) -> np.ndarray:
+    """The adjacency row masks of the enumerated ``graphs`` of order n,
+    as an (N, n) int64 array in enumeration order."""
+    return np.fromiter((g.rows for g in graphs), dtype=(np.int64, n))
 
-    Returns the best value, its maximisers in enumeration order, the
-    number of graphs scanned, and the ``top_k`` highest (value, graph)
-    pairs, ties kept in enumeration order.
+
+def _argmax_scan(values: np.ndarray, top_k: int = 0):
+    """The one argmax scan, over the int values of an enumeration.
+
+    Returns the best value, the indices attaining it in enumeration
+    order, the number of values, and the indices of the ``top_k``
+    highest values, ties kept in enumeration order.
     """
-    best, ties, top, count = None, [], [], 0
-    for g in graphs:
-        count += 1
-        v = value(g)
-        if best is None or v > best:
-            best, ties = v, [g]
-        elif v == best:
-            ties.append(g)
-        insort(top, (v, g), key=lambda t: -t[0])
-        del top[top_k:]
-    return best, ties, count, top
+    best = int(values.max())
+    ties = np.flatnonzero(values == best).tolist()
+    top = np.argsort(-values, kind="stable")[:top_k].tolist()
+    return best, ties, len(values), top
+
+
+def _repriced(rows: np.ndarray, prices, invariant: str, indices) -> list[Digraph]:
+    """The graphs at ``indices``, each priced again by the scalar
+    ``price``; raises InvariantViolation where the batched values
+    ``prices`` (for G and for its closure) disagree."""
+    graphs = []
+    for i in indices:
+        g = Digraph(rows.shape[1], tuple(rows[i].tolist()))
+        pr = price(g, invariant)
+        batched = int(prices[0][i]), int(prices[1][i])
+        if (pr.value_g, pr.value_sym) != batched:
+            raise InvariantViolation(
+                f"batched {invariant} of {g.rows} and its closure is {batched}, "
+                f"the scalar price gives ({pr.value_g}, {pr.value_sym})")
+        graphs.append(g)
+    return graphs
 
 
 def verify_theorems(n: int) -> list[TheoremReport]:
@@ -194,23 +229,20 @@ def verify_theorems(n: int) -> list[TheoremReport]:
     if n < 3:
         raise ValueError(f"the theorems require n >= 3, got {n}")
     reports = []
-    every = list(enumerate_digraphs(n, strongly_connected=False))
+    every = _class_rows(enumerate_digraphs(n, strongly_connected=False), n)
     cases = (
-        ("diameter", [g for g in every if g.is_strongly_connected()],
-         families.b_family(n)),
+        ("diameter", every[bfs_arrays(every)[2]], families.b_family(n)),
         ("domination", every, families.l_set(families.in_star(n), 1)),
     )
-    for invariant, graphs, expected in cases:
-        over_bound: list[Digraph] = []
-
-        def pos_minus(g: Digraph):
-            pr = price(g, invariant)
-            if pr.pos_minus > n - 2 or (pr.pos_quot is not None and pr.pos_quot > n - 1):
-                over_bound.append(g)
-            return pr.pos_minus
-
-        best, maxi, count, _ = _argmax_scan(graphs, pos_minus)
-        cex = over_bound[0] if over_bound else None
+    for invariant, rows, expected in cases:
+        prices = value_g, value_sym = price_arrays(rows, invariant)
+        pos_minus = np.abs(value_g - value_sym)
+        # pos_quot = value_g / value_sym > n - 1, in integers
+        over_bound = np.flatnonzero((pos_minus > n - 2)
+                                    | (value_sym > 0) & (value_g > (n - 1) * value_sym))
+        best, ties, count, _ = _argmax_scan(pos_minus)
+        maxi = _repriced(rows, prices, invariant, ties)
+        cex = _repriced(rows, prices, invariant, over_bound[:1])[0] if len(over_bound) else None
         family = {canonical_form(g) for g in expected}
         found = {canonical_form(g) for g in maxi}
         match = found == family and best == n - 2
@@ -224,9 +256,9 @@ def verify_theorems(n: int) -> list[TheoremReport]:
                 invariant=invariant,
                 bound_minus=n - 2,
                 bound_quot=n - 1,
-                best_value=int(best),
+                best_value=best,
                 maximizers_match_family=match,
-                bounds_hold=not over_bound,
+                bounds_hold=not len(over_bound),
                 classes_checked=count,
                 counterexample=cex,
             )
@@ -255,15 +287,19 @@ def verify_conjecture(n: int, top_k: int = 5) -> ConjectureReport:
         raise SizeError(f"exhaustive check capped at n={DIGRAPH_ORDER_CAP}, got {n}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    best, ties, count, top = _argmax_scan(
-        enumerate_digraphs(n, strongly_connected=True), pos_sigma, top_k)
+    rows = _class_rows(enumerate_digraphs(n, strongly_connected=True), n)
+    prices = price_arrays(rows, "transmission")
+    values = prices[0] - prices[1]
+    best, ties, count, top = _argmax_scan(values, top_k)
     cyc = canonical_form(families.cycle(n))
     return ConjectureReport(
         n=n,
         best_value=best,
         unique_maximizer=len(ties) == 1,
-        maximizer_is_cycle=all(canonical_form(g) == cyc for g in ties),
-        top=top,
+        maximizer_is_cycle=all(canonical_form(g) == cyc
+                               for g in _repriced(rows, prices, "transmission", ties)),
+        top=[(int(values[i]), g)
+             for i, g in zip(top, _repriced(rows, prices, "transmission", top))],
         classes_checked=count,
     )
 
@@ -516,15 +552,16 @@ def hill_climb(
 def exhaustive_search(n: int, objective: str) -> SearchOutcome:
     """Exact maximisation of a price objective over isomorphism classes
     (strongly connected ones; all digraphs for domination)."""
-    obj = objective_fn(objective)
+    invariant = objective_invariant(objective)
     t0 = time.monotonic()
-    graphs = enumerate_digraphs(n, strongly_connected=objective != "domination")
-    best, maxi, count, _ = _argmax_scan(graphs, obj)
+    rows = _class_rows(enumerate_digraphs(n, strongly_connected=objective != "domination"), n)
+    prices = price_arrays(rows, invariant)
+    best, ties, count, _ = _argmax_scan(np.abs(prices[0] - prices[1]))
     return SearchOutcome(
         n=n,
         objective=objective,
-        best_value=int(best),
-        maximizers=tuple(maxi),
+        best_value=best,
+        maximizers=tuple(_repriced(rows, prices, invariant, ties)),
         exhaustive=True,
         graphs_visited=count,
         elapsed=time.monotonic() - t0,

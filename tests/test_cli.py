@@ -78,6 +78,29 @@ def test_verify_closed_forms_json(capsys):
     assert obj["rows"][0]["k"] is None
 
 
+@pytest.mark.parametrize("max_n", ["1", "0", "-3"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_verify_closed_forms_rejects_empty_range(capsys, max_n, fmt):
+    # below 2 the table would be empty: a vacuous pass
+    code, out, err = run(capsys, "verify-closed-forms", "--max-n", max_n, *fmt)
+    assert code == 1
+    assert out == "" and err == f"error: --max-n must be at least 2, got {max_n}\n"
+
+
+@pytest.mark.parametrize("command", ["price", "invariant"])
+def test_graph_source_is_exactly_one_of_family_and_in(capsys, tmp_path, command):
+    p = tmp_path / "g.txt"
+    io.write_graph_file(cycle(5), p)
+    both = ["--family", "cycle:3", "--in", str(p)]
+    for source in (both, []):
+        code, out, err = run(capsys, command, *source, "--invariant", "transmission")
+        assert code == 1 and out == ""
+        assert "--family" in err and "--in" in err
+    for source, value in ((both[:2], "9"), (both[2:], "50")):
+        code, out, _ = run(capsys, command, *source, "--invariant", "transmission")
+        assert code == 0 and value in out
+
+
 def test_invariant_skips_closure(capsys, monkeypatch):
     def closure(self):
         raise AssertionError("invariant must not build the symmetric closure")
