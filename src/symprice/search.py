@@ -13,11 +13,25 @@ with numpy).  There are two code spaces:
 In both spaces code order is adjacency-mask order, so each class is
 represented by its member with the minimal adjacency mask, and the
 representatives come out in ascending mask order.  That is feasible up
-to n = 6 for digraphs and n = 7 for tournaments.  The surviving codes
-are decoded, one bit plane at a time, into an (N, n) int64 array of
-adjacency row masks; the strong-connectivity filter is the reached-all
-flag of the batched kernel ``digraph.bfs_arrays``, and a ``Digraph`` is
-built only for each class yielded.
+to n = 6 for digraphs and n = 7 for tournaments.
+
+A permutation acts on codes through two lookup tables, one per half of
+the slots; a code's image is the XOR of its two entries.  numpy builds
+the tables for a block of permutations at once, with one doubling loop
+per table, from a (P, slots) int64 array of destination slots: for
+digraphs (a, b) is slot a(n - 1) + b - [b > a]; for tournaments the pair
+a > b is slot a(a - 1)/2 + b, and its bit flips when the permutation
+reverses the pair.  The group is tried in order of points moved,
+transpositions first, since small supports reject most non-minimal
+codes.  A first stage runs the first ``_STAGE1_PERMS`` permutations over
+chunks of the code space (over a chunk's whole runs of low-half codes,
+the first permutation's images are the outer XOR of its two tables); the
+few survivors meet the rest of the group in blocks.
+
+The surviving codes are decoded, one bit plane at a time, into an (N, n)
+int64 array of adjacency row masks; the strong-connectivity filter is
+the reached-all flag of the batched kernel ``digraph.bfs_arrays``, and a
+``Digraph`` is built only for each class yielded.
 
 The exhaustive scans (``verify_conjecture``, ``verify_theorems``,
 ``exhaustive_search``) read the enumerated classes back into such a row
@@ -72,7 +86,7 @@ from . import families
 DIGRAPH_ORDER_CAP = 6
 TOURNAMENT_ORDER_CAP = 7
 _CHUNK_BITS = 22  # codes per scan chunk, as a power of two (32 MB of int64)
-_STAGE1_PERMS = 48  # per-chunk pre-filter before the rest of the group
+_STAGE1_PERMS = 48  # permutations in the per-chunk pre-filter, and in each later block
 
 
 class _CodeSpace:
@@ -86,20 +100,18 @@ class _CodeSpace:
             raise ValueError(f"order must be >= 1, got {n}")
         self.n, self.oriented = n, oriented
         self.slots = [(u, v) for u in range(n) for v in range(u if oriented else n) if u != v]
-        self.index = {s: b for b, s in enumerate(self.slots)}
 
-    def perm_tables(self, perm: tuple[int, ...]) -> tuple[int, np.ndarray, np.ndarray]:
-        """Half-code lookup tables for one vertex permutation: where each
-        bit goes, with the bits of reversed pairs flipped."""
-        dest, flip = [], 0
-        for u, v in self.slots:
-            s = (perm[u], perm[v])
-            if s not in self.index:  # the pair's order reversed
-                s = s[::-1]
-                flip |= 1 << self.index[s]
-            dest.append(self.index[s])
-        half = len(dest) // 2
-        return half, _spread(dest[:half]) ^ flip, _spread(dest[half:])
+    def slot_maps(self, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each row of the (P, n) permutation array: the slot each
+        slot goes to, as a (P, slots) array, and the flip mask, the
+        destination bits of the pairs whose order the permutation reverses."""
+        u, v = np.array(self.slots, dtype=np.int64).reshape(-1, 2).T
+        pu, pv = perms[:, u], perms[:, v]
+        if not self.oriented:  # (a, b) is slot a(n-1) + b, less one past the diagonal
+            return pu * (self.n - 1) + pv - (pv > pu), np.zeros(len(perms), dtype=np.int64)
+        a, b = np.maximum(pu, pv), np.minimum(pu, pv)  # (a, b), a > b, is slot a(a-1)/2 + b
+        dest = a * (a - 1) // 2 + b
+        return dest, ((pu < pv).astype(np.int64) << dest).sum(axis=1)
 
     def rows(self, codes: np.ndarray) -> np.ndarray:
         """The (N, n) adjacency row masks of the codes, one bit plane
@@ -113,34 +125,73 @@ class _CodeSpace:
         return rows
 
 
-def _spread(dest: list[int]) -> np.ndarray:
-    """Table taking each code over len(dest) bits to its bits moved to dest."""
-    table = np.zeros(1 << len(dest), dtype=np.int64)
-    for b, d in enumerate(dest):
-        table[1 << b: 2 << b] = table[: 1 << b] | (1 << d)
-    return table
+def _group(n: int) -> np.ndarray:
+    """The non-identity permutations of range(n) as a (P, n) array, those
+    moving the fewest points first (transpositions, then 3-cycles, ...),
+    ties in ``itertools.permutations`` order."""
+    perms = np.array(list(permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    moved = (perms != np.arange(n)).sum(axis=1)
+    return perms[np.argsort(moved, kind="stable")[1:]]  # the identity moves none
 
 
-def _keep_minimal(codes: np.ndarray, perm_tables) -> np.ndarray:
-    """The codes no permutation maps below themselves; the image of a
-    code is two half-code table lookups joined by XOR."""
-    for half, lo, hi in perm_tables:
-        codes = codes[lo[codes & ((1 << half) - 1)] ^ hi[codes >> half] >= codes]
+def _tables(dest: np.ndarray, flip: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Half-code lookup tables for a block of permutations, given by
+    their slot maps: row p of ``lo`` (``hi``) takes each code over the
+    low ``half`` (the remaining) slots to its bits moved to ``dest[p]``,
+    with ``flip[p]`` folded into ``lo``.  The image of code c under p is
+    ``lo[p, c & (1 << half) - 1] ^ hi[p, c >> half]``."""
+    half = dest.shape[1] // 2
+    halves = dest[:, :half], dest[:, half:]
+    lo, hi = (np.zeros((len(dest), 1 << d.shape[1]), dtype=np.int64) for d in halves)
+    for table, d in zip((lo, hi), halves):
+        for b in range(d.shape[1]):  # codes with top bit b are those below it plus bit b
+            table[:, 1 << b: 2 << b] = table[:, : 1 << b] | 1 << d[:, b, None]
+    lo ^= flip[:, None]
+    return half, lo, hi
+
+
+def _prefilter(start: int, stop: int, half: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The codes in range(start, stop), whole runs of 2^half codes, that
+    no permutation with a row in the ``_tables`` maps below themselves.
+    Over whole runs the first permutation's images are the outer XOR of
+    its two tables; the survivors meet the others one row at a time."""
+    codes = np.arange(start, stop, dtype=np.int64)
+    if len(lo):  # only order 1 has no permutation but the identity
+        codes = np.flatnonzero((hi[0, start >> half: stop >> half, None] ^ lo[0]).ravel() >= codes)
+        codes += start
+    low = (1 << half) - 1
+    for p_lo, p_hi in zip(lo[1:], hi[1:]):
+        codes = codes[p_lo[codes & low] ^ p_hi[codes >> half] >= codes]
+    return codes
+
+
+def _minimal_codes(space: _CodeSpace) -> np.ndarray:
+    """The codes minimal in their orbit, ascending.  Chunks of the code
+    space meet a cheap pre-filter, the first ``_STAGE1_PERMS``
+    permutations; the survivors meet the rest of the group in blocks of
+    as many, and a code stays if it is at most its image under every
+    permutation of the block."""
+    dest, flip = space.slot_maps(_group(space.n))
+    size = 1 << len(space.slots)
+    chunk = min(size, 1 << _CHUNK_BITS)
+    half, lo, hi = _tables(dest[:_STAGE1_PERMS], flip[:_STAGE1_PERMS])
+    codes = np.concatenate([_prefilter(start, start + chunk, half, lo, hi)
+                            for start in range(0, size, chunk)])
+    for start in range(_STAGE1_PERMS, len(dest), _STAGE1_PERMS):
+        _, lo, hi = _tables(dest[start:start + _STAGE1_PERMS], flip[start:start + _STAGE1_PERMS])
+        low_half, high_half = codes & (1 << half) - 1, codes >> half
+        keep = np.ones(len(codes), dtype=bool)
+        for p_lo, p_hi in zip(lo, hi):
+            keep &= p_lo[low_half] ^ p_hi[high_half] >= codes
+        codes = codes[keep]
     return codes
 
 
 def _enumerate(space: _CodeSpace, strongly_connected: bool):
-    """Yield the graphs whose codes are minimal in their orbit, ascending.
-    Chunks of the code space meet a cheap pre-filter; the survivors meet
-    the rest of the permutation group, and are decoded and filtered for
-    strong connectivity as row arrays, a slice at a time."""
-    perms = list(permutations(range(space.n)))[1:]  # identity first
-    stage1 = [space.perm_tables(p) for p in perms[:_STAGE1_PERMS]]
-    size, step = 1 << len(space.slots), 1 << _CHUNK_BITS
-    survivors = [_keep_minimal(np.arange(start, min(start + step, size), dtype=np.int64), stage1)
-                 for start in range(0, size, step)]
-    rest = (space.perm_tables(p) for p in perms[_STAGE1_PERMS:])
-    codes = _keep_minimal(np.concatenate(survivors), rest)
+    """Yield the graphs whose codes are minimal in their orbit, ascending,
+    decoded and filtered for strong connectivity as row arrays, a slice
+    at a time."""
+    codes = _minimal_codes(space)
     for lo in range(0, len(codes), BATCH_CHUNK):
         rows = space.rows(codes[lo:lo + BATCH_CHUNK])
         if strongly_connected:
@@ -553,6 +604,8 @@ def exhaustive_search(n: int, objective: str) -> SearchOutcome:
     """Exact maximisation of a price objective over isomorphism classes
     (strongly connected ones; all digraphs for domination)."""
     invariant = objective_invariant(objective)
+    if n < 1:  # before the scan, which cannot shape rows of no vertices
+        raise ValueError(f"order must be >= 1, got {n}")
     t0 = time.monotonic()
     rows = _class_rows(enumerate_digraphs(n, strongly_connected=objective != "domination"), n)
     prices = price_arrays(rows, invariant)

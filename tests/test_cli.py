@@ -189,6 +189,13 @@ def test_search_rejects_non_positive_budget(capsys, budget):
     assert "budget must be positive" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_search_exhaustive_rejects_order_below_one(capsys, n):
+    code, out, err = run(capsys, "search", "--mode", "exhaustive", "--n", n)
+    assert code == 1 and out == ""
+    assert err == f"error: order must be >= 1, got {n}\n"
+
+
 @pytest.mark.parametrize("flag", [["--budget", "100"], ["--seed", "3"]])
 def test_search_exhaustive_rejects_heuristic_flags(capsys, flag):
     code, _, err = run(capsys, "search", "--mode", "exhaustive", "--n", "3", *flag)

@@ -79,6 +79,9 @@ def test_enumeration_known_counts():
     assert sum(1 for _ in enumerate_digraphs(4, strongly_connected=False)) == 218
     assert sum(1 for _ in enumerate_digraphs(4, strongly_connected=True)) == 83
     assert sum(1 for _ in enumerate_digraphs(2, strongly_connected=True)) == 1
+    # all (A000273) and strongly connected (A035512) at n = 5
+    assert sum(1 for _ in enumerate_digraphs(5, strongly_connected=False)) == 9608
+    assert sum(1 for _ in enumerate_digraphs(5)) == 5048
 
 
 def test_enumeration_all_strongly_connected():
@@ -91,7 +94,7 @@ def test_enumeration_cap():
 
 
 def test_tournament_counts():
-    # all: 2, 4, 12, 56 (A000568); strongly connected: 1, 1, 6, 35
+    # all: 2, 4, 12, 56, 456 (A000568); strongly connected: 1, 1, 6, 35, 353 (A051337)
     assert sum(1 for _ in enumerate_tournaments(3, strongly_connected=False)) == 2
     assert sum(1 for _ in enumerate_tournaments(4, strongly_connected=False)) == 4
     assert sum(1 for _ in enumerate_tournaments(5, strongly_connected=False)) == 12
@@ -99,6 +102,8 @@ def test_tournament_counts():
     assert sum(1 for _ in enumerate_tournaments(5)) == 6
     assert sum(1 for _ in enumerate_tournaments(6, strongly_connected=False)) == 56
     assert sum(1 for _ in enumerate_tournaments(6)) == 35
+    assert sum(1 for _ in enumerate_tournaments(7, strongly_connected=False)) == 456
+    assert sum(1 for _ in enumerate_tournaments(7)) == 353
 
 
 def test_tournaments_are_tournaments():
