@@ -9,36 +9,35 @@ import argparse
 import json
 import sys
 
-from symprice import families, formulas
+from symprice.families import best_known
 from symprice.search import DIGRAPH_ORDER_CAP, hill_climb, verify_conjecture
 
 
-def known_best(n: int) -> int:
-    if n <= 10:
-        return formulas.pos_cycle(n)
-    return formulas.pos_hnk(n, families.k_star(n).k_star)
-
-
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--min-n", type=int, default=3)
     ap.add_argument("--max-n", type=int, default=12)
     ap.add_argument("--budget", type=int, default=20000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json", action="store_true")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if args.min_n < 2:
+        ap.error(f"--min-n must be at least 2, the smallest order with a cycle, got {args.min_n}")
 
     records = []
     beaten = False
     for n in range(args.min_n, args.max_n + 1):
-        target = known_best(n)
+        target = best_known(n)
         if n <= DIGRAPH_ORDER_CAP:
             r = verify_conjecture(n)
             rec = {"n": n, "mode": "exhaustive", "best": r.best_value,
                    "target": target, "classes": r.classes_checked,
                    "unique_cycle": r.ok}
         else:
-            out = hill_climb(n, "sigma", budget=args.budget, seed=args.seed)
+            try:
+                out = hill_climb(n, "sigma", budget=args.budget, seed=args.seed)
+            except ValueError as e:  # a budget below the number of starts
+                ap.error(str(e))
             rec = {"n": n, "mode": "heuristic", "best": out.best_value,
                    "target": target, "visited": out.graphs_visited,
                    "elapsed": round(out.elapsed, 2)}

@@ -20,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import families, formulas, io, search, transforms
+from . import families, io, search, transforms
 from .digraph import Digraph
 from .errors import DomainError, FormatError, InvariantViolation, SizeError
 from .invariants import INVARIANTS, OBJECTIVES, price
@@ -106,23 +106,15 @@ def cmd_price(args) -> int:
 
 
 def cmd_verify_closed_forms(args) -> int:
-    from .invariants import transmission
-
     if args.max_n < 2:
         raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
-    # (n, k, the number whose parity is reported, graph, its sigma, closure sigma)
-    cases = [(n, None, n, families.cycle(n),
-              formulas.sigma_cycle(n), formulas.sigma_cycle_sym(n))
-             for n in range(2, args.max_n + 1)]
-    cases += [(n, k, n - k, families.canonical_bag(n, k),
-               formulas.sigma_hnk(n, k), formulas.sigma_hnk_sym(n, k))
+    specs = [families.family_spec("cycle", n) for n in range(2, args.max_n + 1)]
+    specs += [families.family_spec("bag", n, k)
               for n in range(11, args.max_n + 1) for k in range(3, n)]
     rows = []
-    for n, k, m, g, sigma, sigma_sym in cases:
-        parity = "even" if m % 2 == 0 else "odd"
-        for graph, sigma_f in ((g, sigma), (g.symmetric_closure(), sigma_sym)):
-            sigma_b = transmission(graph)
-            rows.append([n, k, parity, sigma_f, sigma_b, sigma_f == sigma_b])
+    for c in map(families.check_closed_form, specs):
+        # one row for the graph, one for its closure
+        rows += [[c.n, c.k, c.parity, f, b, f == b] for f, b in zip(c.forms, c.bfs)]
     ok = all(r[-1] for r in rows)
     header = ["n", "k", "parity", "sigma_formula", "sigma_bfs", "match"]
     if args.json:

@@ -2,16 +2,21 @@
 
 Covers cycles, paths, complete digraphs, in-stars, backward tournaments,
 the diameter equality family, L_k replacement sets, bags and the
-extremal bag order selector k*.
+extremal bag order selector k*.  ``FAMILIES`` is the one family table,
+name -> builder; a spec such as ``bag:12:5`` names a member.
+``check_closed_form`` compares a cycle or bag spec's closed forms with
+BFS, and ``best_known`` is the best known transmission price at order n.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
 from .digraph import Digraph, canonical_form
 from .errors import DomainError, SizeError
+from .invariants import transmission
 from . import formulas
 
 B_FAMILY_ORDER_CAP = 8  # 2^(n-1) graphs before dedup
@@ -196,28 +201,71 @@ def k_star(n: int) -> KStarResult:
     )
 
 
-FAMILY_SPECS = ("cycle:n", "path:n", "complete:n", "instar:n", "backward:n", "bag:n:k")
+def best_known(n: int) -> int:
+    """The best transmission price of a known family at order n: the
+    cycle up to n = 10, the k* bag from n = 11 on."""
+    if n < 11:
+        return formulas.pos_cycle(n)
+    return formulas.pos_hnk(n, k_star(n).k_star)
 
 
-def build_family(spec: str) -> Digraph:
-    """Parse a CLI family specifier such as ``cycle:5`` or ``bag:8:4``."""
-    parts = spec.split(":")
-    name, args = parts[0], parts[1:]
+FAMILIES = {"cycle": cycle, "path": path, "complete": complete, "instar": in_star,
+            "backward": backward_tournament, "bag": canonical_bag}
+_PARAMS = {name: tuple(inspect.signature(fn).parameters) for name, fn in FAMILIES.items()}
+FAMILY_SPECS = tuple(":".join((name, *params)) for name, params in _PARAMS.items())
+
+
+def family_spec(name: str, *params: int) -> str:
+    """The spec of a family member: ``family_spec("bag", 12, 5)`` is ``bag:12:5``."""
+    return ":".join((name, *map(str, params)))
+
+
+def _parse(spec: str) -> tuple[str, list[int]]:
+    name, *args = spec.split(":")
     try:
         nums = [int(a) for a in args]
     except ValueError:
         raise ValueError(f"non-integer parameter in family spec {spec!r}") from None
-    builders = {
-        "cycle": (1, cycle),
-        "path": (1, path),
-        "complete": (1, complete),
-        "instar": (1, in_star),
-        "backward": (1, backward_tournament),
-        "bag": (2, canonical_bag),
-    }
-    if name not in builders:
+    if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}, expected one of {FAMILY_SPECS}")
-    arity, fn = builders[name]
-    if len(nums) != arity:
-        raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(nums)}")
-    return fn(*nums)
+    if len(nums) != len(_PARAMS[name]):
+        raise ValueError(f"family {name!r} takes {len(_PARAMS[name])} parameter(s), got {len(nums)}")
+    return name, nums
+
+
+def build_family(spec: str) -> Digraph:
+    """Parse a CLI family specifier such as ``cycle:5`` or ``bag:8:4``."""
+    name, nums = _parse(spec)
+    return FAMILIES[name](*nums)
+
+
+@dataclass(frozen=True)
+class ClosedFormCheck:
+    """(sigma(G), sigma of the closure) by closed form and by BFS, and the
+    parity branch: that of n for a cycle (k None), of n - k for a bag."""
+    n: int
+    k: int | None
+    parity: str
+    forms: tuple[int, int]
+    bfs: tuple[int, int]
+
+    @property
+    def ok(self) -> bool:
+        return self.forms == self.bfs
+
+
+def check_closed_form(spec: str) -> ClosedFormCheck:
+    """Compare the closed forms of a ``cycle:n`` or ``bag:n:k`` spec with
+    BFS transmissions of the graph it builds and of its closure."""
+    name, nums = _parse(spec)
+    if name == "cycle":
+        (n,), k = nums, None
+        forms = formulas.sigma_cycle(n), formulas.sigma_cycle_sym(n)
+    elif name == "bag":
+        n, k = nums
+        forms = formulas.sigma_hnk(n, k), formulas.sigma_hnk_sym(n, k)
+    else:
+        raise ValueError(f"no closed form for family {name!r}, only for cycle and bag")
+    g = FAMILIES[name](*nums)
+    return ClosedFormCheck(n, k, ("even", "odd")[(n if k is None else n - k) % 2], forms,
+                           (transmission(g), transmission(g.symmetric_closure())))

@@ -6,7 +6,6 @@ coefficient faults instead of silently drifting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -80,14 +79,10 @@ def pos_hnk(n: int, k: int) -> int:
     return sigma_hnk(n, k) - sigma_hnk_sym(n, k)
 
 
-def _parity_of(n: int, k) -> str:
-    return "even" if (n - k) % 2 == 0 else "odd"
-
-
 def _check_parity(n: int, k, parity: str) -> None:
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if isinstance(k, int) and _parity_of(n, k) != parity:
+    if isinstance(k, int) and ("even", "odd")[(n - k) % 2] != parity:
         raise ValueError(f"parity {parity!r} inconsistent with n-k = {n - k}")
 
 
@@ -154,34 +149,3 @@ def crossover_sign(n) -> int:
         a, b = a * n + ca, b * n + cb
     v = a + b if a * b >= 0 else a * (a * a - 2 * b * b)
     return (v > 0) - (v < 0)
-
-
-@dataclass(frozen=True)
-class ClosedFormReport:
-    n: int
-    k: int | None
-    sigma_g: int
-    sigma_sym: int
-    parity_branch: str
-
-    @property
-    def pos(self) -> int:
-        return self.sigma_g - self.sigma_sym
-
-
-def closed_form_report(n: int, k: int | None = None) -> ClosedFormReport:
-    if k is None:
-        return ClosedFormReport(
-            n=n,
-            k=None,
-            sigma_g=sigma_cycle(n),
-            sigma_sym=sigma_cycle_sym(n),
-            parity_branch="even" if n % 2 == 0 else "odd",
-        )
-    return ClosedFormReport(
-        n=n,
-        k=k,
-        sigma_g=sigma_hnk(n, k),
-        sigma_sym=sigma_hnk_sym(n, k),
-        parity_branch=_parity_of(n, k),
-    )

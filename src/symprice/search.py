@@ -528,13 +528,12 @@ def _climb(start: Digraph, objective: str, max_evals: int) -> tuple[Digraph, int
 
 
 def _warm_starts(n: int, objective: str) -> list[tuple[str, Digraph]]:
-    """The family starts as (family spec, graph) pairs."""
-    starts = [(f"cycle:{n}", families.cycle(n))]
-    if n >= 3:
-        starts.append((f"backward:{n}", families.backward_tournament(n)))
+    """The family starts as (family spec, graph) pairs, each graph built
+    from its spec."""
+    specs = [families.family_spec("cycle", n), families.family_spec("backward", n)]
     if objective == "sigma":
-        starts.extend((f"bag:{n}:{k}", families.canonical_bag(n, k)) for k in range(3, n))
-    return starts
+        specs += [families.family_spec("bag", n, k) for k in range(3, n)]
+    return [(spec, families.build_family(spec)) for spec in specs]
 
 
 def _run_restart(args) -> tuple[int, int, bytes, int, tuple[int, ...]]:
@@ -544,21 +543,16 @@ def _run_restart(args) -> tuple[int, int, bytes, int, tuple[int, ...]]:
     return start_value, value, _dedup_key(g), evals, g.rows
 
 
-def hill_climb(
-    n: int,
-    objective: str = "sigma",
-    budget: int = 20000,
-    seed: int = 0,
-    restarts: int | None = None,
-) -> SearchOutcome:
+def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int = 0) -> SearchOutcome:
     """Randomised-restart steepest ascent over strongly connected
     digraphs of order n.
 
     Warm starts from the cycle, backward tournament and (for the
     transmission objective) every canonical bag guarantee the search
     never reports worse than the best known family member.  Each start
-    gets ``budget // starts`` evaluations (at least 50).  Fixed seed
-    gives identical outcomes up to the elapsed-time field.
+    gets ``budget // starts`` evaluations, so a budget below the number
+    of starts is refused.  Fixed seed gives identical outcomes up to the
+    elapsed-time field.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -568,10 +562,12 @@ def hill_climb(
     t0 = time.monotonic()
     rng = random.Random(seed)
     starts = _warm_starts(n, objective)
-    if restarts is None:
-        restarts = max(4, budget // max(1, 40 * n * n))
+    restarts = max(4, budget // (40 * n * n))
+    if budget < len(starts) + restarts:
+        raise ValueError(f"budget must be at least {len(starts) + restarts} at n={n}, "
+                         f"one evaluation per start, got {budget}")
     starts.extend(("random", random_strongly_connected(n, rng)) for _ in range(restarts))
-    cap = max(50, budget // len(starts))
+    cap = budget // len(starts)
     jobs = [(g, objective, cap) for _, g in starts]
 
     workers = min(worker_count(), len(jobs))

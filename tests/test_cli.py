@@ -189,6 +189,14 @@ def test_search_rejects_non_positive_budget(capsys, budget):
     assert "budget must be positive" in err
 
 
+@pytest.mark.parametrize("budget", ["1", "14"])
+def test_search_rejects_budget_below_start_count(capsys, budget):
+    # n = 12: cycle, backward tournament, 9 bags and 4 random starts
+    code, out, err = run(capsys, "search", "--mode", "heuristic", "--n", "12", "--budget", budget)
+    assert code == 1 and out == ""
+    assert err == f"error: budget must be at least 15 at n=12, one evaluation per start, got {budget}\n"
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_search_exhaustive_rejects_order_below_one(capsys, n):
     code, out, err = run(capsys, "search", "--mode", "exhaustive", "--n", n)

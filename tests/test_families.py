@@ -2,11 +2,12 @@ import math
 
 import pytest
 
-from symprice import families
+from symprice import families, formulas
 from symprice.digraph import are_isomorphic, canonical_form
 from symprice.errors import DomainError
 from symprice.families import BagSpec, bag, canonical_bag
 from symprice.invariants import transmission
+from symprice.search import _warm_starts
 
 
 def test_cycle_path_complete_instar():
@@ -113,3 +114,48 @@ def test_build_family_specs():
     for bad in ("wat:3", "cycle:x", "bag:8", "cycle"):
         with pytest.raises(ValueError):
             families.build_family(bad)
+
+
+def test_every_family_spec_builds():
+    assert families.FAMILY_SPECS == ("cycle:n", "path:n", "complete:n", "instar:n",
+                                     "backward:n", "bag:n:k")
+    values = {"n": 6, "k": 4}
+    for form in families.FAMILY_SPECS:
+        name, *params = form.split(":")
+        nums = [values[p] for p in params]
+        spec = families.family_spec(name, *nums)
+        assert families.build_family(spec) == families.FAMILIES[name](*nums)
+
+
+@pytest.mark.parametrize("objective", ["sigma", "diameter"])
+def test_warm_starts_are_built_from_their_specs(objective):
+    starts = _warm_starts(9, objective)
+    assert [s for s, _ in starts[:2]] == ["cycle:9", "backward:9"]
+    assert len(starts) == (2 + 6 if objective == "sigma" else 2)
+    for spec, g in starts:
+        assert g == families.build_family(spec)
+
+
+def test_check_closed_form():
+    c = families.check_closed_form("cycle:6")
+    assert (c.n, c.k, c.parity) == (6, None, "even")
+    assert c.forms == c.bfs == (90, 54) and c.ok
+    c = families.check_closed_form("bag:12:5")
+    assert (c.n, c.k, c.parity) == (12, 5, "odd") and c.ok
+    assert c.forms == (formulas.sigma_hnk(12, 5), formulas.sigma_hnk_sym(12, 5))
+    with pytest.raises(ValueError):
+        families.check_closed_form("backward:6")
+
+
+def test_check_closed_form_reports_a_mismatch(monkeypatch):
+    monkeypatch.setattr(formulas, "sigma_hnk", lambda n, k: -1)
+    c = families.check_closed_form("bag:12:5")
+    assert c.forms[0] == -1 and c.bfs[0] == transmission(canonical_bag(12, 5))
+    assert not c.ok
+
+
+def test_best_known():
+    for n in range(2, 31):
+        expected = (formulas.pos_cycle(n) if n <= 10
+                    else formulas.pos_hnk(n, families.k_star(n).k_star))
+        assert families.best_known(n) == expected, n

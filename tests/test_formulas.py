@@ -104,11 +104,3 @@ def test_crossover_sign_exact_near_roots(lo, hi):
             q = Fraction(a) + offset
             v = _crossover_decimal(Decimal(q.numerator) / Decimal(q.denominator))
             assert formulas.crossover_sign(q) == (1 if v > 0 else -1), (lo, offset)
-
-
-def test_closed_form_report():
-    rep = formulas.closed_form_report(6)
-    assert (rep.sigma_g, rep.sigma_sym, rep.pos) == (90, 54, 36)
-    rep = formulas.closed_form_report(12, 5)
-    assert rep.pos == formulas.pos_hnk(12, 5)
-    assert rep.parity_branch == "odd"

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from symprice import formulas
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -25,3 +27,17 @@ def test_closed_form_table_check_exits_3_on_mismatch(monkeypatch, capsys):
     assert script.main(["--min-n", "11", "--max-n", "12", "--check"]) == 3
     err = capsys.readouterr().err
     assert "n=11" in err and "n=12" in err
+
+
+@pytest.mark.parametrize("script, argv, minimum", [
+    ("closed_form_table", ["--min-n", "3"], "--min-n must be at least 4"),
+    ("conjecture_sweep", ["--min-n", "1"], "--min-n must be at least 2"),
+    ("conjecture_sweep", ["--min-n", "7", "--max-n", "7", "--budget", "5"],
+     "budget must be at least 10 at n=7"),
+])
+def test_scripts_reject_arguments_out_of_range(capsys, script, argv, minimum):
+    with pytest.raises(SystemExit) as e:
+        load_script(script).main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert minimum in err and "Traceback" not in err

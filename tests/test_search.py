@@ -186,6 +186,13 @@ def test_hill_climb_beats_bag_bound():
     assert out.best_value >= formulas.pos_hnk(12, families.k_star(12).k_star)
 
 
+@pytest.mark.parametrize("n, budget", [(12, 15), (12, 100), (12, 500), (7, 30), (9, 1000)])
+def test_hill_climb_stays_within_budget(n, budget):
+    out = hill_climb(n, "sigma", budget=budget, seed=1)
+    assert out.graphs_visited <= budget
+    assert sum(r.evals for r in out.restarts) == out.graphs_visited
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("SYMPRICE_THREADS", "3")
     assert worker_count() == 3
