@@ -23,16 +23,16 @@ def main(argv=None) -> int:
     if args.min_n < 4:
         ap.error(f"--min-n must be at least 4, the smallest order with a bag, got {args.min_n}")
 
-    mismatches = []
+    specs = []
     print(f"{'n':>4} {'pos(C_n)':>12} {'k':>4} {'pos(H_n(k))':>12}  winner")
     for n in range(args.min_n, args.max_n + 1):
         cyc = formulas.pos_cycle(n)
         k, bag = formulas.best_bag_pos(n)
         winner = "cycle" if cyc > bag else ("bag" if bag > cyc else "tie")
         print(f"{n:>4} {cyc:>12} {k:>4} {bag:>12}  {winner}")
-        specs = (families.family_spec("bag", n, k), families.family_spec("cycle", n))
-        if args.check and not all(families.check_closed_form(s).ok for s in specs):
-            mismatches.append(n)
+        specs += [families.family_spec("bag", n, k), families.family_spec("cycle", n)]
+    checks = families.check_closed_forms(specs) if args.check else []
+    mismatches = sorted({c.n for c in checks if not c.ok})
     for n in mismatches:
         print(f"closed form disagrees with BFS at n={n}", file=sys.stderr)
     return 3 if mismatches else 0

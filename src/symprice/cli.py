@@ -112,7 +112,7 @@ def cmd_verify_closed_forms(args) -> int:
     specs += [families.family_spec("bag", n, k)
               for n in range(11, args.max_n + 1) for k in range(3, n)]
     rows = []
-    for c in map(families.check_closed_form, specs):
+    for c in families.check_closed_forms(specs):
         # one row for the graph, one for its closure
         rows += [[c.n, c.k, c.parity, f, b, f == b] for f, b in zip(c.forms, c.bfs)]
     ok = all(r[-1] for r in rows)

@@ -3,6 +3,14 @@
 A digraph on n vertices (labelled 0..n-1) stores its adjacency as n row
 bitsets: bit j of ``rows[i]`` is set iff the arrow (i, j) is present.
 Instances are immutable values; every mutator returns a new graph.
+
+Batches of graphs of one order are (N, n, W) int64 arrays, W = ceil(n /
+64) words per row (``pack_rows``).  ``bfs_arrays`` searches from every
+source of every graph at once: a level is one table gather per block of
+up to eight vertices (multi-source traversal after Then et al., PVLDB 2014,
+with the Four-Russians tables of Arlazarov, Dinic, Kronrod & Faradzev,
+1970), and the search stops at the first level without a frontier.
+``bfs_levels`` is the scalar frontier loop for single graphs.
 """
 from __future__ import annotations
 
@@ -14,7 +22,8 @@ import numpy as np
 from .errors import SizeError
 
 ISO_ORDER_CAP = 10  # canonical forms are only claimed up to this order
-BATCH_CHUNK = 1 << 15  # graphs per slice of the batched kernels, to bound memory
+TABLE_ENTRIES = 1 << 17  # lookup-table words per slice of bfs_arrays, to bound memory
+_WORD = (1 << 64) - 1
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -53,45 +62,96 @@ def bfs_levels(rows: tuple[int, ...], s: int, allowed: int) -> Iterator[int]:
         seen |= frontier
 
 
-def bfs_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Breadth-first search from every source of every graph in ``rows``.
+def pack_rows(rows: Iterable[tuple[int, ...]], n: int) -> np.ndarray:
+    """The row tuples of graphs of order n as the (N, n, W) int64 array
+    of ``bfs_arrays``, W = ceil(n / 64): word k of a row holds its bits
+    64k to 64k + 63, the last one in the sign bit."""
+    words = -(-n // 64)
+    flat = [r >> 64 * k & _WORD for row in rows for r in row for k in range(words)]
+    return np.array(flat, dtype=np.uint64).view(np.int64).reshape(-1, n, words)
 
-    ``rows`` is an int64 array of shape (N, n); ``rows[k, i]`` is the
-    out-neighbour mask of vertex i in graph k.  The level recurrence is
-    that of ``bfs_levels``, run for all N * n sources at once: the next
-    frontier is the OR of ``rows[:, j]`` over the frontier bits j, less
-    the vertices seen.  Returns, per graph, the sum of the distances
-    reached, the largest depth reached (the diameter of a strongly
-    connected graph) and whether every source reached every vertex.
-    """
-    count, n = rows.shape
-    total = np.zeros(count, np.int64)
-    depth_max = np.zeros(count, np.int64)
-    reached = np.zeros(count, bool)
-    for lo in range(0, count, BATCH_CHUNK):
-        r = rows[lo:lo + BATCH_CHUNK]
-        frontier = np.broadcast_to(1 << np.arange(n, dtype=np.int64), r.shape).copy()
+
+def _frontier_tables(rows: np.ndarray, width: int, blocks: int) -> np.ndarray:
+    """For each graph of an (N, n, W) array and each block of ``width``
+    vertices: the OR of the rows of every subset of the block, indexed
+    by the subset's bits, flattened to (N * blocks * 2^width, W)."""
+    count, n, words = rows.shape
+    padded = np.zeros((count, blocks * width, words), np.int64)
+    padded[:, :n] = rows
+    padded = padded.reshape(count, blocks, width, words)
+    table = np.zeros((count, blocks, 1 << width, words), np.int64)
+    for i in range(width):  # subsets with top bit i are those below it plus vertex i
+        np.bitwise_or(table[:, :, : 1 << i], padded[:, :, i, None], out=table[:, :, 1 << i: 2 << i])
+    return table.reshape(-1, words)
+
+
+def bfs_slices(rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The batched kernel of ``bfs_arrays``, one slice of graphs at a
+    time: yields its three arrays for consecutive slices of ``rows``, so
+    a caller that stops early leaves the later slices unsearched."""
+    if rows.ndim == 2:
+        rows = rows[:, :, None]
+    count, n, words = rows.shape
+    width = min(8, n)
+    blocks = -(-n // width)
+    source, full = pack_rows([tuple(1 << i for i in range(n)), ((1 << n) - 1,) * n], n)
+    step = max(1, TABLE_ENTRIES // (blocks * words << width))
+    for lo in range(0, count, step) or (0,):  # no graphs: one empty slice
+        r = rows[lo:lo + step]
+        table = _frontier_tables(r, width, blocks)
+        # row of vertex subset c of block b of graph k: (k * blocks + b) * 2^width + c
+        offsets = [np.arange(b, len(r) * blocks, blocks)[:, None] << width for b in range(blocks)]
+        total = np.zeros(len(r), np.int64)
+        depth_max = np.zeros(len(r), np.int64)
+        frontier = np.broadcast_to(source, r.shape).copy()
         seen = frontier.copy()
         for depth in range(1, n):
             nxt = np.zeros_like(frontier)
-            for j in range(n):
-                nxt |= -(frontier >> j & 1) & r[:, j, None]
+            for b, offset in enumerate(offsets):  # a block's bits lie in one word: 8 divides 64
+                word, shift = divmod(b * width, 64)
+                nxt |= table.take((frontier[:, :, word] >> shift & (1 << width) - 1) + offset, axis=0)
             frontier = nxt & ~seen
+            live = frontier.any(axis=(1, 2))
+            if not live.any():
+                break
             seen |= frontier
-            total[lo:lo + BATCH_CHUNK] += depth * np.bitwise_count(frontier).sum(axis=1, dtype=np.int64)
-            depth_max[lo:lo + BATCH_CHUNK][frontier.any(axis=1)] = depth
-        reached[lo:lo + BATCH_CHUNK] = (seen == (1 << n) - 1).all(axis=1)
+            total += depth * np.bitwise_count(frontier.view(np.uint64)).sum(axis=(1, 2), dtype=np.int64)
+            depth_max[live] = depth
+        yield total, depth_max, (seen == full).all(axis=(1, 2))
+
+
+def bfs_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breadth-first search from every source of every graph in ``rows``.
+
+    ``rows`` is an (N, n, W) int64 array from ``pack_rows``, or an (N, n)
+    one for n < 64, read as W = 1; ``rows[k, i]`` is the out-neighbour
+    mask of vertex i in graph k.  The level recurrence is that of
+    ``bfs_levels``, run for all N * n sources at once: the next frontier
+    is the OR of the rows of the frontier's vertices, less the vertices
+    seen.  Each graph gets a lookup table per block of w = min(8, n)
+    vertices holding that OR for all 2^w subsets of the block, so a
+    level costs one gather per block; the search stops once no source
+    has a frontier left.  Graphs go through in slices of at most
+    ``TABLE_ENTRIES`` table words (``bfs_slices``).  Returns, per graph,
+    the sum of the distances reached, the largest depth reached (the
+    diameter of a strongly connected graph) and whether every source
+    reached every vertex.
+    """
+    total, depth_max, reached = map(np.concatenate, zip(*bfs_slices(rows)))
     return total, depth_max, reached
 
 
 def closure_array(rows: np.ndarray) -> np.ndarray:
     """Batched ``Digraph.symmetric_closure``: rows | transpose(rows) for
-    an (N, n) array of row masks."""
-    shifts = np.arange(rows.shape[1], dtype=np.int64)
-    closure = rows.copy()
-    for i in range(rows.shape[1]):
-        closure |= (rows[:, i, None] >> shifts & 1) << i  # arrow i -> j adds j -> i
-    return closure
+    an (N, n) or (N, n, W) array of row masks, in the same shape."""
+    words = rows if rows.ndim == 3 else rows[:, :, None]
+    n = rows.shape[1]
+    vertices = np.arange(n)
+    closure = words.copy()
+    for i in range(n):  # arrow i -> j adds j -> i
+        bits = words[:, i, vertices >> 6] >> (vertices & 63) & 1
+        closure[:, :, i >> 6] |= bits << (i & 63)
+    return closure.reshape(rows.shape)
 
 
 @dataclass(frozen=True)

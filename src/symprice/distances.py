@@ -37,21 +37,14 @@ def all_pairs_distances(g: Digraph) -> DistanceMatrix:
     return DistanceMatrix(g.n, tuple(rows))
 
 
-def level_sum(rows: tuple[int, ...], s: int) -> tuple[int, int]:
-    """(sum of the distances from s, bitmask of the vertices reached) in
-    the digraph with out-neighbour masks ``rows``."""
-    seen = total = 0
-    for depth, level in enumerate(bfs_levels(rows, s, (1 << len(rows)) - 1)):
-        total += depth * level.bit_count()
-        seen |= level
-    return total, seen
-
-
 def bfs_row_sum(g: Digraph, s: int) -> int:
     """Sum of distances from s to every vertex; DomainError if some
     vertex is unreachable."""
     full = (1 << g.n) - 1
-    total, seen = level_sum(g.rows, s)
+    seen = total = 0
+    for depth, level in enumerate(bfs_levels(g.rows, s, full)):
+        total += depth * level.bit_count()
+        seen |= level
     if seen != full:
         missing = next(iter_bits(full & ~seen))
         raise DomainError(f"vertex {missing} unreachable from {s}")

@@ -4,8 +4,9 @@ Covers cycles, paths, complete digraphs, in-stars, backward tournaments,
 the diameter equality family, L_k replacement sets, bags and the
 extremal bag order selector k*.  ``FAMILIES`` is the one family table,
 name -> builder; a spec such as ``bag:12:5`` names a member.
-``check_closed_form`` compares a cycle or bag spec's closed forms with
-BFS, and ``best_known`` is the best known transmission price at order n.
+``check_closed_forms`` compares the closed forms of cycle and bag specs
+with batched BFS, and ``best_known`` is the best known transmission
+price at order n.
 """
 from __future__ import annotations
 
@@ -14,9 +15,9 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .digraph import Digraph, canonical_form
+from .digraph import Digraph, canonical_form, pack_rows
 from .errors import DomainError, SizeError
-from .invariants import transmission
+from .invariants import price_arrays
 from . import formulas
 
 B_FAMILY_ORDER_CAP = 8  # 2^(n-1) graphs before dedup
@@ -254,18 +255,31 @@ class ClosedFormCheck:
         return self.forms == self.bfs
 
 
-def check_closed_form(spec: str) -> ClosedFormCheck:
-    """Compare the closed forms of a ``cycle:n`` or ``bag:n:k`` spec with
-    BFS transmissions of the graph it builds and of its closure."""
-    name, nums = _parse(spec)
-    if name == "cycle":
-        (n,), k = nums, None
-        forms = formulas.sigma_cycle(n), formulas.sigma_cycle_sym(n)
-    elif name == "bag":
-        n, k = nums
-        forms = formulas.sigma_hnk(n, k), formulas.sigma_hnk_sym(n, k)
-    else:
-        raise ValueError(f"no closed form for family {name!r}, only for cycle and bag")
-    g = FAMILIES[name](*nums)
-    return ClosedFormCheck(n, k, ("even", "odd")[(n if k is None else n - k) % 2], forms,
-                           (transmission(g), transmission(g.symmetric_closure())))
+def check_closed_forms(specs: list[str]) -> list[ClosedFormCheck]:
+    """Compare the closed forms of each ``cycle:n`` or ``bag:n:k`` spec
+    with the BFS transmissions of the graph it builds and of its
+    closure, in input order.  The graphs of each order are built and
+    priced together by ``price_arrays``."""
+    parsed, by_order = [], {}
+    for i, spec in enumerate(specs):
+        name, nums = _parse(spec)
+        if name not in ("cycle", "bag"):
+            raise ValueError(f"no closed form for family {name!r}, only for cycle and bag")
+        parsed.append((name, nums))
+        by_order.setdefault(nums[0], []).append(i)
+    bfs = {}
+    for n, where in by_order.items():
+        rows = pack_rows([FAMILIES[parsed[i][0]](*parsed[i][1]).rows for i in where], n)
+        sigma, sigma_c = price_arrays(rows, "transmission")
+        bfs.update(zip(where, zip(sigma.tolist(), sigma_c.tolist())))
+    checks = []
+    for i, (name, nums) in enumerate(parsed):
+        if name == "cycle":
+            (n,), k = nums, None
+            forms = formulas.sigma_cycle(n), formulas.sigma_cycle_sym(n)
+        else:
+            n, k = nums
+            forms = formulas.sigma_hnk(n, k), formulas.sigma_hnk_sym(n, k)
+        checks.append(ClosedFormCheck(n, k, ("even", "odd")[(n if k is None else n - k) % 2],
+                                      forms, bfs[i]))
+    return checks

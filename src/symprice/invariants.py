@@ -141,7 +141,8 @@ def objective_fn(name: str):
 def invariant_array(rows: np.ndarray, invariant: str) -> np.ndarray:
     """Batched twin of the registry: the int64 value of ``invariant``
     (transmission, diameter or domination) for every graph of an (N, n)
-    array of row masks.  Distance invariants need strongly connected
+    array of row masks, or of an (N, n, W) one from ``pack_rows`` for the
+    distance invariants.  Distance invariants need strongly connected
     graphs, as their scalar functions do."""
     if invariant == "domination":
         return _domination_array(rows)

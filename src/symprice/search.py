@@ -47,21 +47,19 @@ The hill climber is a deterministic steepest-ascent search with warm
 starts from the known extremal families plus seeded random restarts.
 A step scores every single-arrow move (removal, addition, reversal)
 that keeps the graph strongly connected and takes the first strictly
-best one.  For the transmission objective the moves are scored from the
-distance matrices D of G and D' of its closure, computed once per step
+best one.  For the transmission objective, an added arrow u -> v is
+scored from the distance matrices D of G and D' of its closure: every
+distance becomes min(D[s,t], D[s,u] + 1 + D[v,t]), vectorised over all
+v for one u, and the closure gains the edge {u, v}, usable both ways
 (incremental all-pairs shortest paths, after Ausiello, Italiano,
-Marchetti-Spaccamela & Nanni 1991 and Demetrescu & Italiano 2004):
-
-- adding u -> v: every distance becomes min(D[s,t], D[s,u] + 1 + D[v,t]),
-  vectorised over all v for one u; the closure gains the edge {u, v},
-  usable both ways;
-- removing u -> v: only the rows of sources s that are tight for the
-  arrow, D[s,v] = D[s,u] + 1, can change, and only those are searched
-  again.  Source u is always tight, and its new row is complete exactly
-  when the graph stays strongly connected.  If v -> u is absent the
-  closure loses {u, v}; its changed rows are those with D'[s,u] != D'[s,v];
-- reversing u -> v (v -> u absent): the closure is unchanged; the rows
-  searched again are the tight sources and those with D[s,v] + 1 < D[s,u].
+Marchetti-Spaccamela & Nanni 1991 and Demetrescu & Italiano 2004).  The
+graphs of a step's removals and reversals are stacked into one batched
+BFS, whose reached-all flag drops those that are not strongly
+connected; a reversal leaves the closure unchanged, and the closures
+that lose the edge {u, v} (a removed arrow without its reverse) are
+searched by a second batched BFS.  Both are read through
+``digraph.bfs_slices``, so a climb that stops after a few moves leaves
+the later slices unsearched.
 
 Other objectives price each neighbour with their registry function.
 """
@@ -76,8 +74,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .digraph import BATCH_CHUNK, ISO_ORDER_CAP, Digraph, bfs_arrays, canonical_form
-from .distances import all_pairs_distances, level_sum
+from .digraph import ISO_ORDER_CAP, Digraph, bfs_arrays, bfs_slices, canonical_form, pack_rows
+from .distances import all_pairs_distances
 from .errors import InvariantViolation, SizeError
 # OBJECTIVES stays importable from here for callers of the search API
 from .invariants import OBJECTIVES, objective_fn, objective_invariant, price, price_arrays  # noqa: F401
@@ -87,6 +85,7 @@ DIGRAPH_ORDER_CAP = 6
 TOURNAMENT_ORDER_CAP = 7
 _CHUNK_BITS = 22  # codes per scan chunk, as a power of two (32 MB of int64)
 _STAGE1_PERMS = 48  # permutations in the per-chunk pre-filter, and in each later block
+_DECODE_CHUNK = 1 << 15  # codes decoded per slice, to bound the rows and graphs held at once
 
 
 class _CodeSpace:
@@ -192,8 +191,8 @@ def _enumerate(space: _CodeSpace, strongly_connected: bool):
     decoded and filtered for strong connectivity as row arrays, a slice
     at a time."""
     codes = _minimal_codes(space)
-    for lo in range(0, len(codes), BATCH_CHUNK):
-        rows = space.rows(codes[lo:lo + BATCH_CHUNK])
+    for lo in range(0, len(codes), _DECODE_CHUNK):
+        rows = space.rows(codes[lo:lo + _DECODE_CHUNK])
         if strongly_connected:
             rows = rows[bfs_arrays(rows)[2]]
         for r in rows.tolist():
@@ -395,9 +394,12 @@ def worker_count() -> int:
     env = os.environ.get("SYMPRICE_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
             raise ValueError(f"SYMPRICE_THREADS must be an integer, got {env!r}") from None
+        if count < 1:
+            raise ValueError(f"SYMPRICE_THREADS must be at least 1, got {env!r}")
+        return count
     return os.cpu_count() or 1
 
 
@@ -441,46 +443,45 @@ def _toggled(rows: tuple[int, ...], *arrows: tuple[int, int]) -> tuple[int, ...]
     return tuple(out)
 
 
-def _rescan(rows: tuple[int, ...], sources, old: list[int]) -> int | None:
-    """Change of the distance sum over ``sources`` once the adjacency is
-    ``rows`` (old row sums in ``old``), or None if a source no longer
-    reaches every vertex."""
-    full = (1 << len(rows)) - 1
-    delta = 0
-    for s in sources:
-        total, seen = level_sum(rows, s)
-        if seen != full:
-            return None
-        delta += total - old[s]
-    return delta
+def _flipped(rows: tuple[int, ...], *flips: list[tuple[int, int]]) -> np.ndarray:
+    """Batched ``_toggled``: ``pack_rows`` of one copy of ``rows`` per
+    arrow of ``flips[0]``, copy i with arrow i of every list flipped."""
+    n = len(rows)
+    batch = np.repeat(pack_rows([rows], n), len(flips[0]), axis=0)
+    for arrows in flips:
+        u, v = np.array(arrows, dtype=np.int64).reshape(-1, 2).T
+        batch[np.arange(len(batch)), u, v >> 6] ^= 1 << (v & 63)
+    return batch
+
+
+def _scores(rows: np.ndarray):
+    """(transmission, strongly connected) of each graph of a packed row
+    array, lazily: the kernel searches a slice when the reader reaches it."""
+    for total, _, strong in bfs_slices(rows):
+        yield from zip(total.tolist(), strong.tolist())
 
 
 def _sigma_moves(g: Digraph):
     """Yield (pos_sigma(h), h.rows) for the neighbours h of the strongly
-    connected g, in the order of ``_neighbors``, from the distance
-    matrices of g and of its closure."""
+    connected g, in the order of ``_neighbors``.  Additions are scored
+    from the distance matrices of g and of its closure; removals and
+    reversals by one batched BFS, and the closures that a removal
+    changes by another."""
     n, rows = g.n, g.rows
     closure = g.symmetric_closure()
     d = np.array(all_pairs_distances(g).dist, dtype=np.int64)
     dc = np.array(all_pairs_distances(closure).dist, dtype=np.int64)
-    row_sum, row_sum_c = d.sum(axis=1).tolist(), dc.sum(axis=1).tolist()
-    sigma, sigma_c = sum(row_sum), sum(row_sum_c)
+    sigma_c = int(dc.sum())
     arrows = list(g.arrows())
-
-    def u_first(u, changed):
-        # u's new row is complete iff the graph stays strongly connected
-        return [u, *(s for s in np.flatnonzero(changed).tolist() if s != u)]
-
-    for u, v in arrows:  # removals: only sources with a shortest path through u -> v change
-        h = _toggled(rows, (u, v))
-        delta = _rescan(h, u_first(u, d[:, v] == d[:, u] + 1), row_sum)
-        if delta is None:
-            continue
-        delta_c = 0
-        if not rows[v] >> u & 1:  # the closure loses the edge {u, v}
-            delta_c = _rescan(_toggled(closure.rows, (u, v), (v, u)),
-                              np.flatnonzero(dc[:, u] != dc[:, v]).tolist(), row_sum_c)
-        yield sigma + delta - sigma_c - delta_c, h
+    one_way = [(u, v) for u, v in arrows if not rows[v] >> u & 1]
+    back = [(v, u) for u, v in one_way]
+    scores = _scores(np.concatenate([_flipped(rows, arrows), _flipped(rows, one_way, back)]))
+    # removing a one-way arrow u -> v takes the edge {u, v} out of the closure
+    scores_c = _scores(_flipped(closure.rows, one_way, back))
+    for (u, v), (total, strong) in zip(arrows, scores):
+        total_c = sigma_c if rows[v] >> u & 1 else next(scores_c)[0]
+        if strong:
+            yield total - total_c, _toggled(rows, (u, v))
     for u in range(n):  # additions: one new arrow shortens s -> t to d(s,u) + 1 + d(v,t)
         vs = [v for v in range(n) if v != u and not rows[u] >> v & 1]
         if not vs:
@@ -492,13 +493,9 @@ def _sigma_moves(g: Digraph):
         new_c = np.minimum(via_c, via_c.transpose(0, 2, 1)).sum(axis=(1, 2))
         for v, value in zip(vs, (new - new_c).tolist()):
             yield value, _toggled(rows, (u, v))
-    for u, v in arrows:  # reversals: the closure is unchanged
-        if rows[v] >> u & 1:
-            continue
-        h = _toggled(rows, (u, v), (v, u))
-        delta = _rescan(h, u_first(u, (d[:, v] == d[:, u] + 1) | (d[:, v] + 1 < d[:, u])), row_sum)
-        if delta is not None:
-            yield sigma + delta - sigma_c, h
+    for (u, v), (total, strong) in zip(one_way, scores):  # reversals: the closure is unchanged
+        if strong:
+            yield total - sigma_c, _toggled(rows, (u, v), (v, u))
 
 
 def _climb(start: Digraph, objective: str, max_evals: int) -> tuple[Digraph, int, int, int]:

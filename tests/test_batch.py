@@ -6,15 +6,18 @@ not) are priced both ways: the batched values of G and of its closure
 must equal the scalar ``INVARIANTS`` functions, and the reached-all
 flag must equal ``is_strongly_connected``.
 """
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symprice.digraph import Digraph, bfs_arrays, closure_array
+from symprice.digraph import Digraph, bfs_arrays, bfs_slices, closure_array, pack_rows
+from symprice.distances import all_pairs_distances
 from symprice.errors import DomainError
-from symprice.invariants import INVARIANTS, invariant_array, price_arrays
-from symprice.search import enumerate_digraphs, enumerate_tournaments
+from symprice.invariants import INVARIANTS, diameter, invariant_array, price_arrays, transmission
+from symprice.search import enumerate_digraphs, enumerate_tournaments, random_strongly_connected
 
 from conftest import digraphs
 
@@ -64,11 +67,54 @@ def test_distance_invariants_refuse_graphs_not_strongly_connected():
     assert invariant_array(rows, "domination").tolist() == [2, 2]
 
 
+def wide_graphs(n):
+    """Strongly connected graphs of order n, from a hamiltonian cycle
+    alone to dense, and three that are not: the cycle less an arrow, a
+    graph whose vertex n - 1 has no in-arrow, and one with no arrows."""
+    rng = random.Random(n)
+    strong = [random_strongly_connected(n, rng, extra) for extra in (0.0, 3 / n, 0.3)]
+    cut = strong[0].remove_arrow(*next(strong[0].arrows()))
+    source = Digraph(n, tuple(row & ~(1 << n - 1) for row in strong[1].rows))
+    return strong + [cut, source, Digraph.empty(n)]
+
+
+@pytest.mark.parametrize("n", [8, 9, 63, 64, 65, 100])
+def test_kernel_against_scalar_bfs_at_word_boundaries(n):
+    graphs = wide_graphs(n)
+    total, depth, reached = bfs_arrays(pack_rows([g.rows for g in graphs], n))
+    assert reached.tolist() == [g.is_strongly_connected() for g in graphs] == [True] * 3 + [False] * 3
+    for g, t, dm in zip(graphs, total.tolist(), depth.tolist()):
+        finite = [x for row in all_pairs_distances(g).dist for x in row if x is not None]
+        assert (t, dm) == (sum(finite), max(finite))
+        if g.is_strongly_connected():
+            assert (t, dm) == (transmission(g), diameter(g))
+    priced = price_arrays(pack_rows([g.rows for g in graphs[:3]], n), "transmission")
+    assert [p.tolist() for p in priced] == [[transmission(g) for g in graphs[:3]],
+                                           [transmission(g.symmetric_closure()) for g in graphs[:3]]]
+
+
 def test_kernel_slices_match_whole():
-    # more graphs than one kernel slice: the slices must join seamlessly
-    rows = np.array([g.rows for g in enumerate_digraphs(5, strongly_connected=False)], dtype=np.int64)
-    rows = np.concatenate([rows] * 4)
-    total, depth, reached = bfs_arrays(rows)
-    k = len(rows) // 4
-    for part in (total, depth, reached):
-        assert all((part[i * k:(i + 1) * k] == part[:k]).all() for i in range(4))
+    # more graphs than one kernel slice: the slices must join seamlessly,
+    # also at a wide order, where a slice holds a few graphs and copies
+    # of the batch straddle slices
+    small = np.array([g.rows for g in enumerate_digraphs(5, strongly_connected=False)], dtype=np.int64)
+    wide = pack_rows([g.rows for g in wide_graphs(100)], 100)
+    for batch, copies in ((small, 4), (wide, 10)):
+        rows = np.concatenate([batch] * copies)
+        assert len(list(bfs_slices(rows))) > 1
+        total, depth, reached = bfs_arrays(rows)
+        k = len(batch)
+        for part in (total, depth, reached):
+            assert all((part[i * k:(i + 1) * k] == part[:k]).all() for i in range(copies))
+        assert [p.tolist() for p in bfs_arrays(batch)] == [p[:k].tolist() for p in (total, depth, reached)]
+
+
+def test_pack_rows_splits_rows_into_words():
+    g = Digraph.from_arrows(65, [(0, 64), (0, 63), (0, 1), (1, 0), (2, 64), (2, 63), (64, 2)])
+    packed = pack_rows([g.rows], 65)
+    assert packed.shape == (1, 65, 2) and packed.dtype == np.int64
+    assert packed[0, [0, 1, 2, 63, 64]].view(np.uint64).tolist() == [
+        [1 << 63 | 2, 1], [1, 0], [1 << 63, 1], [0, 0], [4, 0]]
+    assert (closure_array(packed) == pack_rows([g.symmetric_closure().rows], 65)).all()
+    assert pack_rows([], 65).shape == (0, 65, 2)
+    assert [p.tolist() for p in bfs_arrays(pack_rows([], 65))] == [[], [], []]

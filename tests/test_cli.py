@@ -197,6 +197,15 @@ def test_search_rejects_budget_below_start_count(capsys, budget):
     assert err == f"error: budget must be at least 15 at n=12, one evaluation per start, got {budget}\n"
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_search_rejects_thread_count_below_one(capsys, monkeypatch, threads):
+    # read as one worker before; a usage error like a non-integer value
+    monkeypatch.setenv("SYMPRICE_THREADS", threads)
+    code, out, err = run(capsys, "search", "--mode", "heuristic", "--n", "6", "--budget", "100")
+    assert code == 1 and out == ""
+    assert err == f"error: SYMPRICE_THREADS must be at least 1, got '{threads}'\n"
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_search_exhaustive_rejects_order_below_one(capsys, n):
     code, out, err = run(capsys, "search", "--mode", "exhaustive", "--n", n)

@@ -83,3 +83,25 @@ def test_hill_climb_golden(args):
     assert [g.rows for g in out.maximizers] == rows
     assert [(r.start, r.start_value, r.end_value, r.evals) for r in out.restarts] == restarts
     assert sum(r.evals for r in out.restarts) == out.graphs_visited
+
+
+# hill_climb(65, "sigma", 200, 1): two words per row, two evaluations per
+# start; the best start, bag:65:27, is the maximizer
+BAG_65_27 = (
+    2, 4, 9, 19, 39, 79, 159, 319, 639, 1279, 2559, 5119, 10239, 20479, 40959, 81919, 163839,
+    327679, 655359, 1310719, 2621439, 5242879, 10485759, 20971519, 41943039, 83886079,
+    167772159, 268435456, 536870912, 1073741824, 2147483648, 4294967296, 8589934592,
+    17179869184, 34359738368, 68719476736, 137438953472, 274877906944, 549755813888,
+    1099511627776, 2199023255552, 4398046511104, 8796093022208, 17592186044416, 35184372088832,
+    70368744177664, 140737488355328, 281474976710656, 562949953421312, 1125899906842624,
+    2251799813685248, 4503599627370496, 9007199254740992, 18014398509481984, 36028797018963968,
+    72057594037927936, 144115188075855872, 288230376151711744, 576460752303423488,
+    1152921504606846976, 2305843009213693952, 4611686018427387904, 9223372036854775808,
+    18446744073709551616, 1)
+
+
+def test_hill_climb_golden_beyond_one_word():
+    out = hill_climb(65, "sigma", 200, 1)
+    assert out.best_value == 78438
+    assert out.graphs_visited == 136
+    assert [g.rows for g in out.maximizers] == [BAG_65_27]

@@ -137,21 +137,33 @@ def test_warm_starts_are_built_from_their_specs(objective):
 
 
 def test_check_closed_form():
-    c = families.check_closed_form("cycle:6")
+    c, d = families.check_closed_forms(["cycle:6", "bag:12:5"])
     assert (c.n, c.k, c.parity) == (6, None, "even")
     assert c.forms == c.bfs == (90, 54) and c.ok
-    c = families.check_closed_form("bag:12:5")
-    assert (c.n, c.k, c.parity) == (12, 5, "odd") and c.ok
-    assert c.forms == (formulas.sigma_hnk(12, 5), formulas.sigma_hnk_sym(12, 5))
+    assert (d.n, d.k, d.parity) == (12, 5, "odd") and d.ok
+    assert d.forms == (formulas.sigma_hnk(12, 5), formulas.sigma_hnk_sym(12, 5))
     with pytest.raises(ValueError):
-        families.check_closed_form("backward:6")
+        families.check_closed_forms(["cycle:6", "backward:6"])
 
 
 def test_check_closed_form_reports_a_mismatch(monkeypatch):
     monkeypatch.setattr(formulas, "sigma_hnk", lambda n, k: -1)
-    c = families.check_closed_form("bag:12:5")
+    c, d = families.check_closed_forms(["bag:12:5", "cycle:12"])
     assert c.forms[0] == -1 and c.bfs[0] == transmission(canonical_bag(12, 5))
-    assert not c.ok
+    assert not c.ok and d.ok
+
+
+def test_check_closed_forms_keeps_input_order_over_mixed_orders():
+    # orders interleaved, with 70 over two words per row
+    specs = ["bag:13:4", "cycle:5", "bag:70:20", "cycle:13", "bag:11:3", "cycle:70", "bag:13:7"]
+    checks = families.check_closed_forms(specs)
+    assert [(c.n, c.k) for c in checks] == [(13, 4), (5, None), (70, 20), (13, None),
+                                            (11, 3), (70, None), (13, 7)]
+    for spec, c in zip(specs, checks):
+        g = families.build_family(spec)
+        assert c.bfs == (transmission(g), transmission(g.symmetric_closure())), spec
+        assert c.ok, spec
+    assert families.check_closed_forms([]) == []
 
 
 def test_best_known():

@@ -196,9 +196,10 @@ def test_hill_climb_stays_within_budget(n, budget):
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("SYMPRICE_THREADS", "3")
     assert worker_count() == 3
-    monkeypatch.setenv("SYMPRICE_THREADS", "zebra")
-    with pytest.raises(ValueError):
-        worker_count()
+    for bad in ("zebra", "0", "-2"):
+        monkeypatch.setenv("SYMPRICE_THREADS", bad)
+        with pytest.raises(ValueError, match=repr(bad)):
+            worker_count()
     monkeypatch.delenv("SYMPRICE_THREADS")
     assert worker_count() >= 1
 
