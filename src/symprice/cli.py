@@ -3,7 +3,8 @@
 Subcommands: construct, invariant, price, verify-closed-forms, kstar,
 transform, search, verify-theorems, verify-conjecture.
 
-Exit codes: 0 success, 1 usage error, 2 domain/size error, 3 mathematical
+Exit codes: 0 success, 1 usage or file error (a malformed graph file, or
+one that cannot be read or written), 2 domain/size error, 3 mathematical
 verification failure, 4 internal error (a failed structural check, which
 indicates a bug).  ``--json`` switches to JSON, ``--out`` writes to a file
 instead of standard output.  A closed standard output (``| head``) ends
@@ -19,11 +20,12 @@ import json
 import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import families, io, search, transforms
 from .digraph import Digraph
 from .errors import DomainError, FormatError, InvariantViolation, SizeError
-from .invariants import INVARIANTS, OBJECTIVES, price
+from .invariants import INVARIANTS, OBJECTIVES, pos_sigma, price
 from .transforms import TransformOutcome
 
 SCHEMA = "symprice/1"
@@ -38,8 +40,7 @@ EXIT_INTERNAL = 4
 def _emit(args, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as f:
-            f.write(text if text.endswith("\n") else text + "\n")
+        Path(out).write_text(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
@@ -150,8 +151,6 @@ _RULES = ("critical", "break-c2", "contract-c2", "t1")
 
 
 def _apply_rule(g: Digraph, rule: str) -> TransformOutcome:
-    from .invariants import pos_sigma
-
     if rule == "critical":
         before = pos_sigma(g)
         h = transforms.make_critical(g)
@@ -180,9 +179,7 @@ def cmd_transform(args) -> int:
             "pos_after": outcome.pos_after,
             "result": io.to_json_obj(result),
         }
-        with open(args.trace, "w") as f:
-            json.dump(trace, f, indent=2)
-            f.write("\n")
+        Path(args.trace).write_text(json.dumps(trace, indent=2) + "\n")
     word = "applied" if outcome.applied else "not applied"
     print(f"{outcome.rule}: {word}, pos {outcome.pos_before} -> {outcome.pos_after}")
     return EXIT_OK
@@ -212,8 +209,7 @@ def cmd_search(args) -> int:
         report["restarts"] = [dataclasses.asdict(r) for r in outcome.restarts]
     text = json.dumps(report, indent=2)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        Path(args.out).write_text(text + "\n")
     print(f"best {args.objective} price at n={args.n}: {outcome.best_value} "
           f"({len(outcome.maximizers)} maximizer(s), "
           f"{'exhaustive' if outcome.exhaustive else 'heuristic'})")
@@ -358,6 +354,9 @@ def main(argv=None) -> int:
         # the reader went away (e.g. `| head`); silence the final flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except OSError as e:  # an unreadable input or unwritable output file
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

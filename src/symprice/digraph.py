@@ -269,22 +269,17 @@ class Digraph:
             seen |= level
         return seen
 
-    def is_strongly_connected(self) -> bool:
-        if self.n == 1:
+    def is_strongly_connected(self, within: int | None = None) -> bool:
+        """Whether every vertex reaches every other, optionally in the
+        subgraph induced by a vertex bitmask; at most one vertex counts
+        as strongly connected."""
+        verts = (1 << self.n) - 1 if within is None else within
+        if not verts & verts - 1:
             return True
-        full = (1 << self.n) - 1
-        if self.reachable_from(0) != full:
+        s = (verts & -verts).bit_length() - 1
+        if self.reachable_from(s, within=verts) != verts:
             return False
-        return self.transpose().reachable_from(0) == full
-
-    def strongly_connected_within(self, vertices: int) -> bool:
-        verts = list(iter_bits(vertices))
-        if len(verts) <= 1:
-            return True
-        s = verts[0]
-        if self.reachable_from(s, within=vertices) != vertices:
-            return False
-        return self.transpose().reachable_from(s, within=vertices) == vertices
+        return self.transpose().reachable_from(s, within=verts) == verts
 
 
 def _check_arrow(n: int, u: int, v: int) -> None:

@@ -2,7 +2,8 @@
 
 Text format: first line ``n <order>``, then one line ``u v`` per arrow
 (0-based).  ``#`` starts a comment; blank lines are ignored.  JSON form:
-``{"n": ..., "arrows": [[u, v], ...]}``.  Both round-trip bit-exactly.
+``{"n": ..., "arrows": [[u, v], ...]}`` with JSON integers only.  Both
+round-trip bit-exactly.
 """
 from __future__ import annotations
 
@@ -63,10 +64,17 @@ def to_json_obj(g: Digraph) -> dict:
     return {"n": g.n, "arrows": [[u, v] for u, v in g.arrows()]}
 
 
+def _integer(x) -> int:
+    # int() would truncate 3.7 and read true or "2"; bool is an int subclass
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {json.dumps(x)}")
+    return x
+
+
 def from_json_obj(obj: dict) -> Digraph:
     try:
-        n = int(obj["n"])
-        arrows = [(int(u), int(v)) for u, v in obj["arrows"]]
+        n = _integer(obj["n"])
+        arrows = [(_integer(u), _integer(v)) for u, v in obj["arrows"]]
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad graph JSON: {e}") from None
     try:

@@ -150,6 +150,39 @@ def test_transform_no_bridge(capsys, tmp_path):
     assert "2-cycle" in err
 
 
+def test_transform_t1_refuses_orders_above_the_path_cap(capsys, tmp_path):
+    src = tmp_path / "in.txt"
+    io.write_graph_file(cycle(transforms.EXACT_PATH_LIMIT + 1), src)
+    code, _, err = run(capsys, "transform", "--rule", "t1", "--in", str(src))
+    assert code == 2
+    assert err.startswith("error: longest induced path supported up to")
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--in", "{tmp}/missing.txt", "--invariant", "transmission"],
+    ["price", "--in", "{tmp}", "--invariant", "transmission"],
+    ["price", "--family", "cycle:3", "--invariant", "transmission", "--out", "{tmp}/no/p.txt"],
+    ["search", "--mode", "exhaustive", "--n", "3", "--out", "{tmp}/no/r.json"],
+    ["transform", "--rule", "critical", "--in", "{tmp}/g.txt", "--out", "{tmp}/no/h.txt"],
+    ["transform", "--rule", "critical", "--in", "{tmp}/g.txt", "--trace", "{tmp}/no/t.json"],
+], ids=["missing-input", "directory-input", "price-out", "search-out", "transform-out",
+        "transform-trace"])
+def test_file_errors_exit_1_without_traceback(capsys, tmp_path, argv):
+    io.write_graph_file(cycle(3), tmp_path / "g.txt")
+    code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_json_with_non_integer_numbers_is_a_format_error(capsys, tmp_path):
+    src = tmp_path / "f.json"
+    src.write_text('{"n": 3.7, "arrows": [[0.9, 1.2], [1, 2], [2, 0]]}')
+    code, _, err = run(capsys, "price", "--in", str(src), "--invariant", "transmission")
+    assert code == 1
+    assert err == "error: bad graph JSON: expected an integer, got 3.7\n"
+
+
 def test_search_exhaustive_report(capsys, tmp_path):
     rep = tmp_path / "report.json"
     code, out, _ = run(capsys, "search", "--mode", "exhaustive", "--n", "4",

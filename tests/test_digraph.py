@@ -62,8 +62,8 @@ def test_strong_connectivity():
 def test_reachable_within():
     g = Digraph.from_arrows(4, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)])
     assert g.reachable_from(0, within=mask_of([0, 1])) == mask_of([0, 1])
-    assert g.strongly_connected_within(mask_of([2, 3]))
-    assert not g.strongly_connected_within(mask_of([1, 2]))
+    assert g.is_strongly_connected(within=mask_of([2, 3]))
+    assert not g.is_strongly_connected(within=mask_of([1, 2]))
 
 
 def test_induced():

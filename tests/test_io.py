@@ -61,6 +61,21 @@ def test_duplicate_arrow_warns_and_dedupes():
     assert any("duplicate" in str(x.message) for x in w)
 
 
+@pytest.mark.parametrize("obj", [
+    {"n": 3.7, "arrows": [[0.9, 1.2], [1, 2], [2, 0]]},
+    {"n": 3.0, "arrows": [[0, 1], [1, 2], [2, 0]]},
+    {"n": 3, "arrows": [[0, 1.0], [1, 2], [2, 0]]},
+    {"n": True, "arrows": []},
+    {"n": 3, "arrows": [[0, 1], [True, 2], [2, 0]]},
+    {"n": "3", "arrows": [[0, 1], [1, 2], [2, 0]]},
+    {"n": 3, "arrows": [[0, "1"], [1, 2], [2, 0]]},
+], ids=["float-everywhere", "float-order", "float-endpoint", "bool-order",
+        "bool-endpoint", "string-order", "string-endpoint"])
+def test_json_numbers_must_be_integers(obj):
+    with pytest.raises(FormatError, match="expected an integer"):
+        io.from_json_obj(obj)
+
+
 def test_file_roundtrip_text_and_json(tmp_path):
     g = Digraph.from_arrows(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     t = tmp_path / "g.txt"

@@ -1,12 +1,16 @@
+from itertools import combinations, permutations
+
 import pytest
+from hypothesis import given, settings
 
 from symprice import families, transforms
 from symprice.digraph import Digraph, iter_bits, mask_of
 from symprice.distances import all_pairs_distances, sigma_from_vertex, sigma_to_vertex
-from symprice.errors import DomainError
+from symprice.errors import DomainError, SizeError
 from symprice.invariants import pos_sigma, transmission
 from symprice.search import random_strongly_connected
 from symprice.transforms import (
+    EXACT_PATH_LIMIT,
     break_c2,
     contract_c2,
     detect_bunches,
@@ -16,6 +20,8 @@ from symprice.transforms import (
     make_critical,
     t1_step,
 )
+
+from conftest import digraphs
 
 
 def bridged(rng, n1=3, n2=3):
@@ -119,20 +125,35 @@ def test_contract_c2_preserves_order_and_pos(rng):
 
 def test_longest_induced_path_cycle():
     p = longest_induced_path(families.cycle(5))
-    assert p.exact
-    assert len(p) == 3  # closing arrows chord anything longer
+    assert len(p) - 1 == 3  # closing arrows chord anything longer
 
 
 def test_longest_induced_path_on_path():
     p = longest_induced_path(families.path(6))
-    assert p.vertices == (0, 1, 2, 3, 4, 5)
+    assert p == (0, 1, 2, 3, 4, 5)
 
 
-def test_longest_induced_path_greedy_flagged():
-    g = families.cycle(16)
-    p = longest_induced_path(g, exact_limit=10)
-    assert not p.exact
-    assert len(p) >= 1
+def is_induced_path(g, seq):
+    """The only arrows among the vertices of seq are seq[i] -> seq[i+1]."""
+    return all(bool(g.rows[a] >> b & 1) == (j == i + 1)
+               for i, a in enumerate(seq) for j, b in enumerate(seq) if i != j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs(min_n=1, max_n=7))
+def test_longest_induced_path_matches_brute_force(g):
+    # longest first; permutations come in lexicographic order, so the
+    # first induced one is the smallest of the longest
+    expected = next(seq for r in range(g.n, 0, -1) for seq in permutations(range(g.n), r)
+                    if is_induced_path(g, seq))
+    assert longest_induced_path(g) == expected
+
+
+def test_longest_induced_path_exact_up_to_the_cap():
+    g = families.cycle(EXACT_PATH_LIMIT)
+    assert longest_induced_path(g) == tuple(range(EXACT_PATH_LIMIT - 1))
+    with pytest.raises(SizeError):
+        longest_induced_path(families.cycle(EXACT_PATH_LIMIT + 1))
 
 
 def test_t1_requires_strong_connectivity():
@@ -166,8 +187,20 @@ def test_t1_applied_is_strict(rng):
 def test_t1_fixpoint_on_bags():
     for n in (11, 13):
         for k in (3, n - 2):
-            out = t1_step(families.canonical_bag(n, k), exact_limit=n)
+            out = t1_step(families.canonical_bag(n, k))
             assert not out.applied
+
+
+def test_t1_on_bags_beyond_order_14():
+    # on the exact longest induced path every bag here is a fixpoint but
+    # H_17(3), whose step gains 6; a greedy path moves bags with k >= 7
+    for n in (15, 16, 17):
+        for k in range(3, n):
+            out = t1_step(families.canonical_bag(n, k))
+            if (n, k) == (17, 3):
+                assert (out.applied, out.pos_before, out.pos_after) == (True, 1102, 1108)
+            else:
+                assert not out.applied
 
 
 def test_detect_bunches():
@@ -189,3 +222,53 @@ def test_detect_bunches_cross_induced():
     loose = detect_bunches(g)
     strict = detect_bunches(g, cross_induced=True)
     assert len(loose) >= len(strict)
+
+
+def reference_induced_paths(g, s, t, min_len):
+    """The induced s-t paths of at least min_len arrows, by a standalone
+    depth-first search that keeps its own path bitmask."""
+    found = []
+    ins = g.transpose().rows
+
+    def extend(path, pathmask, blocked):
+        last = path[-1]
+        for v in iter_bits(g.rows[last] & ~ins[last] & ~pathmask & ~blocked):
+            if v == t:
+                if len(path) >= min_len:
+                    found.append(tuple(path + [t]))
+                continue
+            extend(path + [v], pathmask | 1 << v, blocked | g.rows[last] | ins[last])
+
+    extend([s], 1 << s, 0)
+    return found
+
+
+def reference_pair(g, paths, cross_induced):
+    """The first two paths, in list order, without a shared inner vertex
+    and, under cross_induced, without an arrow between their insides."""
+    for a, b in combinations(paths, 2):
+        ia, ib = set(a[1:-1]), set(b[1:-1])
+        cross = any(g.rows[u] >> w & 1 or g.rows[w] >> u & 1 for u in ia for w in ib)
+        if not ia & ib and not (cross_induced and cross):
+            return (a, b)
+    return None
+
+
+def test_detect_bunches_matches_reference(rng):
+    for i in range(60):
+        n = rng.randint(2, 8)
+        g = random_strongly_connected(n, rng) if i % 2 else Digraph.from_arrows(
+            n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.35])
+        for min_len in (1, 2, 3):
+            paths = {(s, t): reference_induced_paths(g, s, t, min_len)
+                     for s in range(n) for t in range(n) if s != t}
+            for (s, t), expected in paths.items():
+                assert transforms._induced_paths(g, s, t, min_len) == expected
+            for cross_induced in (False, True):
+                expected = []
+                for (s, t), ps in paths.items():
+                    pair = reference_pair(g, ps, cross_induced)
+                    if pair is not None:
+                        expected.append((s, t, pair))
+                got = detect_bunches(g, min_len=min_len, cross_induced=cross_induced)
+                assert [(b.start, b.end, b.paths) for b in got] == expected
