@@ -7,8 +7,9 @@ Exit codes: 0 success, 1 usage or file error (a malformed graph file, or
 one that cannot be read or written), 2 domain/size error, 3 mathematical
 verification failure, 4 internal error (a failed structural check, which
 indicates a bug).  ``--json`` switches to JSON, ``--out`` writes to a file
-instead of standard output.  A closed standard output (``| head``) ends
-the command quietly with exit 0.
+instead of standard output.  Every ``--out`` and ``--trace`` path is
+checked before the command's work starts.  A closed standard output
+(``| head``) ends the command quietly with exit 0.
 """
 from __future__ import annotations
 
@@ -332,6 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError now if ``path`` cannot be written, leaving the file
+    as it was: opened for appending, and removed again if it is new."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -340,6 +351,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems and 0 on --help
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
+        # every output path is checked before the work starts
+        for path in (getattr(args, "out", None), getattr(args, "trace", None)):
+            if path:
+                _check_writable(path)
         return args.fn(args)
     except (ValueError, FormatError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -85,10 +85,38 @@ def _frontier_tables(rows: np.ndarray, width: int, blocks: int) -> np.ndarray:
     return table.reshape(-1, words)
 
 
+def _search_slice(rows: np.ndarray, width: int, blocks: int, source: np.ndarray,
+                  full: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three arrays of ``bfs_arrays`` for one slice of an (N, n, W)
+    array, whose tables it frees on return."""
+    table = _frontier_tables(rows, width, blocks)
+    # row of vertex subset c of block b of graph k: (k * blocks + b) * 2^width + c
+    offsets = [np.arange(b, len(rows) * blocks, blocks)[:, None] << width for b in range(blocks)]
+    total = np.zeros(len(rows), np.int64)
+    depth_max = np.zeros(len(rows), np.int64)
+    frontier = np.broadcast_to(source, rows.shape).copy()
+    seen = frontier.copy()
+    for depth in range(1, rows.shape[1]):
+        nxt = np.zeros_like(frontier)
+        for b, offset in enumerate(offsets):  # a block's bits lie in one word: 8 divides 64
+            word, shift = divmod(b * width, 64)
+            nxt |= table.take((frontier[:, :, word] >> shift & (1 << width) - 1) + offset, axis=0)
+        frontier = nxt & ~seen
+        live = frontier.any(axis=(1, 2))
+        if not live.any():
+            break
+        seen |= frontier
+        total += depth * np.bitwise_count(frontier.view(np.uint64)).sum(axis=(1, 2), dtype=np.int64)
+        depth_max[live] = depth
+    return total, depth_max, (seen == full).all(axis=(1, 2))
+
+
 def bfs_slices(rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The batched kernel of ``bfs_arrays``, one slice of graphs at a
     time: yields its three arrays for consecutive slices of ``rows``, so
-    a caller that stops early leaves the later slices unsearched."""
+    a caller that stops early leaves the later slices unsearched.  No
+    table outlives its slice, so a reader may run the kernel on other
+    graphs between slices without the memory of two."""
     if rows.ndim == 2:
         rows = rows[:, :, None]
     count, n, words = rows.shape
@@ -97,27 +125,7 @@ def bfs_slices(rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.nd
     source, full = pack_rows([tuple(1 << i for i in range(n)), ((1 << n) - 1,) * n], n)
     step = max(1, TABLE_ENTRIES // (blocks * words << width))
     for lo in range(0, count, step) or (0,):  # no graphs: one empty slice
-        r = rows[lo:lo + step]
-        table = _frontier_tables(r, width, blocks)
-        # row of vertex subset c of block b of graph k: (k * blocks + b) * 2^width + c
-        offsets = [np.arange(b, len(r) * blocks, blocks)[:, None] << width for b in range(blocks)]
-        total = np.zeros(len(r), np.int64)
-        depth_max = np.zeros(len(r), np.int64)
-        frontier = np.broadcast_to(source, r.shape).copy()
-        seen = frontier.copy()
-        for depth in range(1, n):
-            nxt = np.zeros_like(frontier)
-            for b, offset in enumerate(offsets):  # a block's bits lie in one word: 8 divides 64
-                word, shift = divmod(b * width, 64)
-                nxt |= table.take((frontier[:, :, word] >> shift & (1 << width) - 1) + offset, axis=0)
-            frontier = nxt & ~seen
-            live = frontier.any(axis=(1, 2))
-            if not live.any():
-                break
-            seen |= frontier
-            total += depth * np.bitwise_count(frontier.view(np.uint64)).sum(axis=(1, 2), dtype=np.int64)
-            depth_max[live] = depth
-        yield total, depth_max, (seen == full).all(axis=(1, 2))
+        yield _search_slice(rows[lo:lo + step], width, blocks, source, full)
 
 
 def bfs_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,10 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
-from .digraph import Digraph, bfs_arrays, bfs_levels, closure_array
+from .digraph import Digraph, bfs_arrays, bfs_levels, bfs_slices, closure_array
 from .distances import bfs_row_sum
 from .errors import DomainError, SizeError
 
@@ -67,11 +68,14 @@ def domination_number(g: Digraph) -> int:
 
 
 def _domination_array(rows: np.ndarray) -> np.ndarray:
-    """Batched ``domination_number``: subsets by increasing size, and the
-    first size at which some subset's covers OR to the full mask."""
+    """Batched ``domination_number`` over an (N, n) array of row masks, or
+    an (N, n, 1) one from ``pack_rows``: subsets by increasing size, and
+    the first size at which some subset's covers OR to the full mask."""
     n = rows.shape[1]
     if n > DOMINATION_ORDER_CAP:
         raise SizeError(f"domination number capped at n={DOMINATION_ORDER_CAP}, got {n}")
+    if rows.ndim == 3:  # from pack_rows, with one word per row
+        rows = rows[:, :, 0]
     full = (1 << n) - 1
     cover = rows | 1 << np.arange(n, dtype=np.int64)
     found = np.zeros(len(rows), np.int64)  # 0 until a dominating subset is seen
@@ -138,26 +142,45 @@ def objective_fn(name: str):
     return lambda g: int(price(g, invariant).pos_minus)
 
 
-def invariant_array(rows: np.ndarray, invariant: str) -> np.ndarray:
-    """Batched twin of the registry: the int64 value of ``invariant``
-    (transmission, diameter or domination) for every graph of an (N, n)
-    array of row masks, or of an (N, n, W) one from ``pack_rows`` for the
-    distance invariants.  Distance invariants need strongly connected
-    graphs, as their scalar functions do."""
-    if invariant == "domination":
-        return _domination_array(rows)
-    if invariant not in ("transmission", "diameter"):
+def price_slices(rows: np.ndarray, invariant: str) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``price_arrays`` over the strongly connected graphs of ``rows``,
+    one ``bfs_slices`` slice at a time: yields each slice's reached-all
+    flags, then the ``invariant`` values (transmission, diameter or
+    domination) of its strongly connected graphs and of their closures.
+    The kernel searches each graph once, and a reader that stops early
+    leaves the later slices unsearched.  Domination prices the whole
+    batch as one slice: its subset scan costs about as much for one
+    graph as for many."""
+    if invariant not in ("transmission", "diameter", "domination"):
         raise ValueError(f"no batched {invariant!r}, expected transmission, diameter or domination")
-    total, depth_max, reached = bfs_arrays(rows)
-    if not reached.all():
-        raise DomainError(f"graph {rows[~reached][0].tolist()} not strongly connected")
-    return total if invariant == "transmission" else depth_max
+    if invariant == "domination":
+        strong = bfs_arrays(rows)[2]
+        kept = rows[strong]
+        yield strong, _domination_array(kept), _domination_array(closure_array(kept))
+        return
+    lo = 0
+    for total, depth_max, strong in bfs_slices(rows):
+        kept = rows[lo:lo + len(strong)][strong]
+        lo += len(strong)
+        total_c, depth_max_c, _ = bfs_arrays(closure_array(kept))
+        if invariant == "transmission":
+            yield strong, total[strong], total_c
+        else:
+            yield strong, depth_max[strong], depth_max_c
 
 
 def price_arrays(rows: np.ndarray, invariant: str) -> tuple[np.ndarray, np.ndarray]:
-    """The ``invariant`` values of every graph and of its symmetric
-    closure, as ``price`` gives them one graph at a time."""
-    return invariant_array(rows, invariant), invariant_array(closure_array(rows), invariant)
+    """The ``invariant`` values of every graph of an (N, n) array of row
+    masks, or of an (N, n, W) one from ``pack_rows``, and of its
+    symmetric closure, as ``price`` gives them one graph at a time, all
+    int64.  Distance invariants need strongly connected graphs, as their
+    scalar functions do; domination takes any graph."""
+    if invariant == "domination":
+        return _domination_array(rows), _domination_array(closure_array(rows))
+    strong, value_g, value_sym = map(np.concatenate, zip(*price_slices(rows, invariant)))
+    if not strong.all():
+        raise DomainError(f"graph {rows[~strong][0].tolist()} not strongly connected")
+    return value_g, value_sym
 
 
 def price(g: Digraph, invariant: str) -> PriceReport:

@@ -47,21 +47,17 @@ The hill climber is a deterministic steepest-ascent search with warm
 starts from the known extremal families plus seeded random restarts.
 A step scores every single-arrow move (removal, addition, reversal)
 that keeps the graph strongly connected and takes the first strictly
-best one.  For the transmission objective, an added arrow u -> v is
-scored from the distance matrices D of G and D' of its closure: every
-distance becomes min(D[s,t], D[s,u] + 1 + D[v,t]), vectorised over all
-v for one u, and the closure gains the edge {u, v}, usable both ways
-(incremental all-pairs shortest paths, after Ausiello, Italiano,
-Marchetti-Spaccamela & Nanni 1991 and Demetrescu & Italiano 2004).  The
-graphs of a step's removals and reversals are stacked into one batched
-BFS, whose reached-all flag drops those that are not strongly
-connected; a reversal leaves the closure unchanged, and the closures
-that lose the edge {u, v} (a removed arrow without its reverse) are
-searched by a second batched BFS.  Both are read through
-``digraph.bfs_slices``, so a climb that stops after a few moves leaves
-the later slices unsearched.
-
-Other objectives price each neighbour with their registry function.
+best one.  Every objective goes through one path: the graphs of a
+step's moves are stacked into one packed row array (removals in arrow
+order, additions in (u, v) order, then reversals of one-way arrows) and
+priced by ``invariants.price_slices``.  Its batched BFS gives each
+neighbour's reached-all flag together with its distance values, so the
+neighbours that are not strongly connected are dropped without a
+second search of them; the rest are priced with their closures.  For
+the distance objectives the batch is read one ``digraph.bfs_slices``
+slice at a time, so a climb that stops at its evaluation cap leaves the
+later slices unsearched; domination prices it whole.  The start of a
+climb is priced by the scalar objective.
 """
 from __future__ import annotations
 
@@ -74,11 +70,11 @@ from itertools import permutations
 
 import numpy as np
 
-from .digraph import ISO_ORDER_CAP, Digraph, bfs_arrays, bfs_slices, canonical_form, pack_rows
-from .distances import all_pairs_distances
+from .digraph import ISO_ORDER_CAP, Digraph, bfs_arrays, canonical_form, pack_rows
 from .errors import InvariantViolation, SizeError
 # OBJECTIVES stays importable from here for callers of the search API
-from .invariants import OBJECTIVES, objective_fn, objective_invariant, price, price_arrays  # noqa: F401
+from .invariants import (OBJECTIVES, objective_fn, objective_invariant, price,  # noqa: F401
+                         price_arrays, price_slices)
 from . import families
 
 DIGRAPH_ORDER_CAP = 6
@@ -416,25 +412,7 @@ def random_strongly_connected(n: int, rng: random.Random, extra: float = 0.3) ->
     return g
 
 
-def _neighbors(g: Digraph):
-    """Single-arrow moves preserving strong connectivity, in a fixed
-    deterministic order."""
-    for u, v in g.arrows():
-        h = g.remove_arrow(u, v)
-        if h.is_strongly_connected():
-            yield h
-    for u in range(g.n):
-        for v in range(g.n):
-            if u != v and not g.has_arrow(u, v):
-                yield g.add_arrow(u, v)
-    for u, v in g.arrows():
-        if not g.has_arrow(v, u):
-            h = g.remove_arrow(u, v).add_arrow(v, u)
-            if h.is_strongly_connected():
-                yield h
-
-
-def _toggled(rows: tuple[int, ...], *arrows: tuple[int, int]) -> tuple[int, ...]:
+def _toggled(rows: tuple[int, ...], arrows: list[tuple[int, int]]) -> tuple[int, ...]:
     """Adjacency rows with each given arrow flipped (removed if present,
     added if absent)."""
     out = list(rows)
@@ -443,76 +421,46 @@ def _toggled(rows: tuple[int, ...], *arrows: tuple[int, int]) -> tuple[int, ...]
     return tuple(out)
 
 
-def _flipped(rows: tuple[int, ...], *flips: list[tuple[int, int]]) -> np.ndarray:
+def _flipped(rows: tuple[int, ...], flips: list[list[tuple[int, int]]]) -> np.ndarray:
     """Batched ``_toggled``: ``pack_rows`` of one copy of ``rows`` per
-    arrow of ``flips[0]``, copy i with arrow i of every list flipped."""
+    entry of ``flips``, copy i with the arrows of ``flips[i]`` flipped."""
     n = len(rows)
-    batch = np.repeat(pack_rows([rows], n), len(flips[0]), axis=0)
-    for arrows in flips:
-        u, v = np.array(arrows, dtype=np.int64).reshape(-1, 2).T
-        batch[np.arange(len(batch)), u, v >> 6] ^= 1 << (v & 63)
+    batch = np.repeat(pack_rows([rows], n), len(flips), axis=0)
+    copy, u, v = np.array([(i, u, v) for i, arrows in enumerate(flips) for u, v in arrows],
+                          dtype=np.int64).reshape(-1, 3).T
+    batch[copy, u, v >> 6] ^= 1 << (v & 63)
     return batch
 
 
-def _scores(rows: np.ndarray):
-    """(transmission, strongly connected) of each graph of a packed row
-    array, lazily: the kernel searches a slice when the reader reaches it."""
-    for total, _, strong in bfs_slices(rows):
-        yield from zip(total.tolist(), strong.tolist())
-
-
-def _sigma_moves(g: Digraph):
-    """Yield (pos_sigma(h), h.rows) for the neighbours h of the strongly
-    connected g, in the order of ``_neighbors``.  Additions are scored
-    from the distance matrices of g and of its closure; removals and
-    reversals by one batched BFS, and the closures that a removal
-    changes by another."""
-    n, rows = g.n, g.rows
-    closure = g.symmetric_closure()
-    d = np.array(all_pairs_distances(g).dist, dtype=np.int64)
-    dc = np.array(all_pairs_distances(closure).dist, dtype=np.int64)
-    sigma_c = int(dc.sum())
+def _moves(g: Digraph, invariant: str):
+    """Yield (|I(h) - I(h̄)|, h.rows) for the strongly connected
+    single-arrow neighbours h of g: removals in arrow order, additions in
+    (u, v) order, then reversals of one-way arrows.  The neighbours are
+    stacked into one batch and priced by ``price_slices``, so a reader
+    that stops early leaves the later slices unsearched."""
+    rows = g.rows
     arrows = list(g.arrows())
-    one_way = [(u, v) for u, v in arrows if not rows[v] >> u & 1]
-    back = [(v, u) for u, v in one_way]
-    scores = _scores(np.concatenate([_flipped(rows, arrows), _flipped(rows, one_way, back)]))
-    # removing a one-way arrow u -> v takes the edge {u, v} out of the closure
-    scores_c = _scores(_flipped(closure.rows, one_way, back))
-    for (u, v), (total, strong) in zip(arrows, scores):
-        total_c = sigma_c if rows[v] >> u & 1 else next(scores_c)[0]
-        if strong:
-            yield total - total_c, _toggled(rows, (u, v))
-    for u in range(n):  # additions: one new arrow shortens s -> t to d(s,u) + 1 + d(v,t)
-        vs = [v for v in range(n) if v != u and not rows[u] >> v & 1]
-        if not vs:
-            continue
-        via = d[:, u, None] + 1 + d[vs][:, None, :]
-        new = np.minimum(d, via).sum(axis=(1, 2))
-        via_c = np.minimum(dc, dc[:, u, None] + 1 + dc[vs][:, None, :])
-        # the closure gains {u, v}; dc is symmetric, so the transpose covers v -> u
-        new_c = np.minimum(via_c, via_c.transpose(0, 2, 1)).sum(axis=(1, 2))
-        for v, value in zip(vs, (new - new_c).tolist()):
-            yield value, _toggled(rows, (u, v))
-    for (u, v), (total, strong) in zip(one_way, scores):  # reversals: the closure is unchanged
-        if strong:
-            yield total - sigma_c, _toggled(rows, (u, v), (v, u))
+    flips = [[a] for a in arrows]
+    flips += [[(u, v)] for u in range(g.n) for v in range(g.n) if u != v and not rows[u] >> v & 1]
+    flips += [[(u, v), (v, u)] for u, v in arrows if not rows[v] >> u & 1]
+    lo = 0
+    for strong, value_g, value_sym in price_slices(_flipped(rows, flips), invariant):
+        kept = (np.flatnonzero(strong) + lo).tolist()
+        lo += len(strong)
+        for i, value in zip(kept, np.abs(value_g - value_sym).tolist()):
+            yield value, _toggled(rows, flips[i])
 
 
 def _climb(start: Digraph, objective: str, max_evals: int) -> tuple[Digraph, int, int, int]:
     """Steepest-ascent climb; returns (local optimum, start value, value,
     evals).  Each step takes the first strictly best neighbour."""
-    obj = objective_fn(objective)
-    if objective == "sigma":
-        moves = _sigma_moves
-    else:
-        def moves(g):
-            return ((obj(h), h.rows) for h in _neighbors(g))
+    invariant = objective_invariant(objective)
     g = start
-    start_value = value = obj(g)
+    start_value = value = objective_fn(objective)(g)
     evals = 1
     while evals < max_evals:
         best_rows, best_val = None, value
-        for v, h_rows in moves(g):
+        for v, h_rows in _moves(g, invariant):
             evals += 1
             if v > best_val:
                 best_rows, best_val = h_rows, v

@@ -3,8 +3,10 @@
 Every class of ``enumerate_digraphs`` up to n = 5, every tournament up
 to n = 6 and hypothesis row arrays up to n = 7 (strongly connected or
 not) are priced both ways: the batched values of G and of its closure
-must equal the scalar ``INVARIANTS`` functions, and the reached-all
-flag must equal ``is_strongly_connected``.
+must equal the scalar ``INVARIANTS`` functions, over the strongly
+connected graphs of a mixed batch (``price_slices``) and over all the
+graphs an invariant is defined on (``price_arrays``), and the
+reached-all flag must equal ``is_strongly_connected``.
 """
 import random
 
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from symprice.digraph import Digraph, bfs_arrays, bfs_slices, closure_array, pack_rows
 from symprice.distances import all_pairs_distances
 from symprice.errors import DomainError
-from symprice.invariants import INVARIANTS, diameter, invariant_array, price_arrays, transmission
+from symprice.invariants import INVARIANTS, diameter, price_arrays, price_slices, transmission
 from symprice.search import enumerate_digraphs, enumerate_tournaments, random_strongly_connected
 
 from conftest import digraphs
@@ -29,13 +31,19 @@ def check_batch(graphs):
     assert closure_array(rows).tolist() == [list(h.rows) for h in closures]
     _, _, reached = bfs_arrays(rows)
     assert reached.tolist() == [g.is_strongly_connected() for g in graphs]
+    strong_graphs = [g for g, ok in zip(graphs, reached) if ok]
     for name in ("domination", "transmission", "diameter"):
+        f = INVARIANTS[name]
+        # price_slices prices the strongly connected graphs of a mixed batch
+        flags, value_g, value_sym = map(np.concatenate, zip(*price_slices(rows, name)))
+        assert flags.tolist() == reached.tolist()
+        assert value_g.tolist() == [f(g) for g in strong_graphs], name
+        assert value_sym.tolist() == [f(g.symmetric_closure()) for g in strong_graphs], name
         strong = rows if name == "domination" else rows[reached]
-        priced = [g for g, ok in zip(graphs, reached) if name == "domination" or ok]
+        priced = graphs if name == "domination" else strong_graphs
         if not len(strong):
             continue
         value_g, value_sym = price_arrays(strong, name)
-        f = INVARIANTS[name]
         assert value_g.dtype == value_sym.dtype == np.int64
         assert value_g.tolist() == [f(g) for g in priced], name
         assert value_sym.tolist() == [f(g.symmetric_closure()) for g in priced], name
@@ -63,8 +71,8 @@ def test_distance_invariants_refuse_graphs_not_strongly_connected():
                      Digraph.from_arrows(3, [(0, 1), (1, 2)]).rows], dtype=np.int64)
     for name in ("transmission", "diameter"):
         with pytest.raises(DomainError):
-            invariant_array(rows, name)
-    assert invariant_array(rows, "domination").tolist() == [2, 2]
+            price_arrays(rows, name)
+    assert price_arrays(rows, "domination")[0].tolist() == [2, 2]
 
 
 def wide_graphs(n):

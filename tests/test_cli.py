@@ -158,21 +158,42 @@ def test_transform_t1_refuses_orders_above_the_path_cap(capsys, tmp_path):
     assert err.startswith("error: longest induced path supported up to")
 
 
-@pytest.mark.parametrize("argv", [
-    ["price", "--in", "{tmp}/missing.txt", "--invariant", "transmission"],
-    ["price", "--in", "{tmp}", "--invariant", "transmission"],
-    ["price", "--family", "cycle:3", "--invariant", "transmission", "--out", "{tmp}/no/p.txt"],
-    ["search", "--mode", "exhaustive", "--n", "3", "--out", "{tmp}/no/r.json"],
-    ["transform", "--rule", "critical", "--in", "{tmp}/g.txt", "--out", "{tmp}/no/h.txt"],
-    ["transform", "--rule", "critical", "--in", "{tmp}/g.txt", "--trace", "{tmp}/no/t.json"],
-], ids=["missing-input", "directory-input", "price-out", "search-out", "transform-out",
-        "transform-trace"])
-def test_file_errors_exit_1_without_traceback(capsys, tmp_path, argv):
+@pytest.mark.parametrize("argv, work", [
+    (["price", "--in", "{tmp}/missing.txt", "--invariant", "transmission"], "symprice.cli.price"),
+    (["price", "--in", "{tmp}", "--invariant", "transmission"], "symprice.cli.price"),
+    (["price", "--family", "cycle:3", "--invariant", "transmission", "--out", "{tmp}/no/p.txt"],
+     "symprice.cli.price"),
+    (["search", "--mode", "exhaustive", "--n", "3", "--out", "{tmp}/no/r.json"],
+     "symprice.search.exhaustive_search"),
+    (["search", "--mode", "heuristic", "--n", "12", "--out", "{tmp}/no/r.json"],
+     "symprice.search.hill_climb"),
+    (["transform", "--rule", "critical", "--in", "{tmp}/g.txt", "--out", "{tmp}/no/h.txt"],
+     "symprice.transforms.make_critical"),
+    (["transform", "--rule", "critical", "--in", "{tmp}/g.txt", "--trace", "{tmp}/no/t.json"],
+     "symprice.transforms.make_critical"),
+    (["verify-conjecture", "--n", "5", "--out", "{tmp}"], "symprice.search.verify_conjecture"),
+], ids=["missing-input", "directory-input", "price-out", "search-out", "heuristic-search-out",
+        "transform-out", "transform-trace", "directory-out"])
+def test_file_errors_exit_1_without_traceback(capsys, monkeypatch, tmp_path, argv, work):
+    # the work function never runs: files are checked before it starts
+    calls = []
+    monkeypatch.setattr(work, lambda *args, **kwargs: calls.append(args))
     io.write_graph_file(cycle(3), tmp_path / "g.txt")
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not calls
+
+
+def test_output_check_leaves_files_as_they_were(capsys, tmp_path):
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    old.write_text("kept\n")
+    for out in (new, old):
+        code, _, _ = run(capsys, "price", "--family", "cycle:40", "--invariant", "domination",
+                         "--out", str(out))
+        assert code == 2
+    assert not new.exists() and old.read_text() == "kept\n"
 
 
 def test_json_with_non_integer_numbers_is_a_format_error(capsys, tmp_path):

@@ -1,20 +1,22 @@
-"""The hill climber's move scoring and its recorded outcomes.
+"""The hill climber's move pricing and its recorded outcomes.
 
-``_sigma_moves`` prices every neighbour of the current graph from its
-distance matrices; ``_neighbors`` with ``pos_sigma`` on each neighbour is
-the reference it must match, move for move.  The golden outcomes were
-recorded from the reference climber, which priced every neighbour with
-``pos_sigma``.
+``_moves`` stacks every single-arrow neighbour of the current graph into
+one batch and prices it through ``price_slices``, for every objective.
+The reference it must match, move for move, is ``neighbors`` below with
+the scalar ``objective_fn`` on each neighbour: removals that keep the
+graph strongly connected, then additions, then reversals.  The golden
+outcomes were recorded from earlier climbers and must not move.
 """
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symprice.digraph import Digraph
-from symprice.invariants import pos_sigma
-from symprice.search import _neighbors, _sigma_moves, hill_climb, random_strongly_connected
+from symprice.families import cycle
+from symprice.invariants import OBJECTIVES, objective_fn, objective_invariant
+from symprice.search import _moves, hill_climb, random_strongly_connected
 
 
 @st.composite
@@ -27,23 +29,54 @@ def strong_digraphs(draw, max_n=9):
     return Digraph.from_arrows(n, arrows | {(order[i], order[(i + 1) % n]) for i in range(n)})
 
 
-def reference_moves(g):
-    return [(pos_sigma(h), h.rows) for h in _neighbors(g)]
+def neighbors(g):
+    """Single-arrow moves preserving strong connectivity, in the order
+    the climber scans them."""
+    for u, v in g.arrows():
+        h = g.remove_arrow(u, v)
+        if h.is_strongly_connected():
+            yield h
+    for u in range(g.n):
+        for v in range(g.n):
+            if u != v and not g.has_arrow(u, v):
+                yield g.add_arrow(u, v)
+    for u, v in g.arrows():
+        if not g.has_arrow(v, u):
+            h = g.remove_arrow(u, v).add_arrow(v, u)
+            if h.is_strongly_connected():
+                yield h
 
 
-@settings(max_examples=200, deadline=None)
-@given(strong_digraphs())
-def test_sigma_moves_match_reference(g):
-    assert list(_sigma_moves(g)) == reference_moves(g)
-
-
-@pytest.mark.parametrize("n", [12, 20, 30])
-@pytest.mark.parametrize("extra", [0.05, 0.3])
-def test_sigma_moves_match_reference_on_random_graphs(n, extra):
-    g = random_strongly_connected(n, random.Random(n), extra)
-    moves = list(_sigma_moves(g))
+def check_moves(g, objective, sample=None):
+    """``_moves`` against the reference: the same neighbours in the same
+    order, each priced as the scalar objective prices it (a seeded
+    ``sample`` of them, where pricing all would be slow)."""
+    moves = list(_moves(g, objective_invariant(objective)))
     assert all(type(value) is int for value, _ in moves)
-    assert moves == reference_moves(g)
+    assert [rows for _, rows in moves] == [h.rows for h in neighbors(g)]
+    if sample is not None:
+        moves = random.Random(0).sample(moves, sample)
+    obj = objective_fn(objective)
+    assert [value for value, _ in moves] == [obj(Digraph(g.n, rows)) for _, rows in moves]
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@settings(max_examples=200, deadline=None)
+@given(g=strong_digraphs())
+@example(g=cycle(6))  # every removal breaks strong connectivity
+def test_moves_match_reference(objective, g):
+    check_moves(g, objective)
+
+
+@pytest.mark.parametrize("objective, n, extra", [
+    *((objective, n, extra) for objective in ("sigma", "diameter")
+      for n in (12, 20, 30, 65) for extra in (0.05, 0.3) if n < 64 or extra == 0.05),
+    *(("domination", n, extra) for n in (9, 12) for extra in (0.05, 0.3)),
+])
+def test_moves_match_reference_on_random_graphs(objective, n, extra):
+    g = random_strongly_connected(n, random.Random(n), extra)
+    # at two words per row, pricing all 4000-odd neighbours would take seconds
+    check_moves(g, objective, sample=60 if n > 64 else None)
 
 
 # (start, start value, end value, evals) of the eleven family starts at n = 12
@@ -53,6 +86,19 @@ WARM_12 = [("cycle:12", 360, 363, 242), ("backward:12", 231, 231, 177),
                (359, 359, 136), (347, 347, 142), (326, 326, 149), (303, 303, 157),
                (267, 267, 166)]))]
 CYCLE_ARROW_12 = (2, 4, 9, 19, 39, 64, 128, 256, 512, 1024, 2048, 1)
+
+# the backward tournament of order 65, two words per row
+BACKWARD_65 = (
+    2, 4, 9, 19, 39, 79, 159, 319, 639, 1279, 2559, 5119, 10239, 20479, 40959, 81919, 163839,
+    327679, 655359, 1310719, 2621439, 5242879, 10485759, 20971519, 41943039, 83886079,
+    167772159, 335544319, 671088639, 1342177279, 2684354559, 5368709119, 10737418239,
+    21474836479, 42949672959, 85899345919, 171798691839, 343597383679, 687194767359,
+    1374389534719, 2748779069439, 5497558138879, 10995116277759, 21990232555519,
+    43980465111039, 87960930222079, 175921860444159, 351843720888319, 703687441776639,
+    1407374883553279, 2814749767106559, 5629499534213119, 11258999068426239, 22517998136852479,
+    45035996273704959, 90071992547409919, 180143985094819839, 360287970189639679,
+    720575940379279359, 1441151880758558719, 2882303761517117439, 5764607523034234879,
+    11529215046068469759, 23058430092136939519, 9223372036854775807)
 
 # hill_climb arguments -> (best value, graphs visited, maximizer rows, restarts)
 GOLDEN = {
@@ -71,6 +117,13 @@ GOLDEN = {
     (7, "domination", 3000, 0): (2, 423, [(34, 4, 8, 16, 32, 64, 1), (40, 17, 3, 64, 5, 12, 17)], [
         ("cycle:7", 1, 2, 72), ("backward:7", 1, 1, 52), ("random", 1, 2, 96),
         ("random", 1, 1, 55), ("random", 1, 1, 51), ("random", 0, 1, 97)]),
+    (65, "diameter", 200, 1): (63, 198, [BACKWARD_65], [
+        ("cycle:65", 32, 32, 33), ("backward:65", 63, 63, 33), *[("random", 1, 1, 33)] * 4]),
+    (12, "domination", 20000, 1): (2, 1079, [
+        (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 1),
+        (2432, 788, 128, 1041, 14, 3392, 2056, 2055, 1056, 2053, 784, 1577)], [
+        ("cycle:12", 2, 2, 121), ("backward:12", 1, 1, 177), ("random", 1, 2, 296),
+        ("random", 1, 1, 163), ("random", 1, 1, 162), ("random", 1, 1, 160)]),
 }
 
 
