@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import families, io, search, transforms
@@ -269,6 +270,7 @@ def _add_format_flags(p):
     p.add_argument("--out", help="write output to a file")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="symprice",

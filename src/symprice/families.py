@@ -146,7 +146,12 @@ def canonical_bag(n: int, k: int) -> Digraph:
     arrow (v_k, v_1)."""
     if not 3 <= k < n:
         raise ValueError(f"need 3 <= k < n, got k={k}, n={n}")
-    return bag(BagSpec(n=n, k=k, tournament=backward_tournament(k), dup_arrow=(k - 1, 0)))
+    # the forward path 0 -> 1 -> ... -> n-1 and the path's arrow n-1 -> 0,
+    # plus the back arrows (i, j), j <= i - 2, of the tournament
+    rows = [1 << (i + 1) for i in range(n - 1)] + [1]
+    for i in range(2, k):
+        rows[i] |= (1 << (i - 1)) - 1
+    return Digraph(n, tuple(rows))
 
 
 SQRT2 = math.sqrt(2.0)

@@ -154,6 +154,11 @@ def _bridged(rng, n1, n2):
 
 
 def test_criterion_09_transformation_properties():
+    """The 2-cycle bridge decomposition, contraction, rewiring and T1 on
+    random inputs, and canonical bags as fixpoints of T1.  The fixpoint
+    claim is checked for n = 11..16 only.  It fails just above: the
+    exact T1 moves H_17(3) (pos 1102 -> 1108), H_18(3), H_18(4),
+    H_19(3), H_20(3) and H_20(4)."""
     rng = random.Random(20260823)
     ok = True
 

@@ -9,7 +9,7 @@ import pytest
 
 import symprice
 from symprice import io, transforms
-from symprice.cli import main
+from symprice.cli import build_parser, main
 from symprice.digraph import Digraph
 from symprice.errors import InvariantViolation
 from symprice.families import cycle
@@ -300,6 +300,22 @@ def test_usage_errors(capsys):
     code, _, _ = run(capsys, "construct", "--family", "wat:3")
     assert code == 1
     assert main(["verify-closed-forms", "--csv"]) == 1
+
+
+def test_successive_calls_share_no_state(capsys, tmp_path):
+    # the parser is built once per process; every call parses afresh
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "kstar", "--n", "11", "--json")
+    assert code == 0 and json.loads(out)["k_star"] == 4
+    code, out, _ = run(capsys, "kstar", "--n", "11")
+    assert code == 0 and out.startswith("n          11\n")
+    report = tmp_path / "k.txt"
+    code, out, _ = run(capsys, "kstar", "--n", "12", "--out", str(report))
+    assert code == 0 and out == "" and report.read_text().startswith("n          12\n")
+    code, out, _ = run(capsys, "kstar", "--n", "11")
+    assert code == 0 and out.startswith("n          11\n")
+    assert main(["kstar"]) == 1
+    assert run(capsys, "kstar", "--n", "11")[0] == 0
 
 
 def test_domain_error_exit(capsys):

@@ -72,6 +72,13 @@ def test_bag_structure():
     assert g.has_arrow(3, 0) and g.has_arrow(3, 4) and g.has_arrow(6, 0)
 
 
+def test_canonical_bag_rows_match_the_general_bag():
+    for n in range(4, 41):
+        for k in range(3, n):
+            spec = BagSpec(n, k, families.backward_tournament(k), (k - 1, 0))
+            assert canonical_bag(n, k) == bag(spec), (n, k)
+
+
 def test_canonical_bag_transmission_matches_closed_form():
     from symprice import formulas
 

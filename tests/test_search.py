@@ -106,6 +106,44 @@ def test_tournament_counts():
     assert sum(1 for _ in enumerate_tournaments(7)) == 353
 
 
+def test_each_order_is_scanned_once_per_process(monkeypatch):
+    scans = []
+    minimal_codes = search._minimal_codes
+
+    def spy(space):
+        scans.append((space.n, space.oriented))
+        return minimal_codes(space)
+
+    search._class_codes.cache_clear()
+    monkeypatch.setattr(search, "_minimal_codes", spy)
+    for _ in range(3):
+        for sc in (False, True):
+            assert sum(1 for _ in enumerate_digraphs(4, strongly_connected=sc)) == (218, 83)[sc]
+            assert sum(1 for _ in enumerate_tournaments(5, strongly_connected=sc)) == (12, 6)[sc]
+    verify_conjecture(4)
+    exhaustive_search(4, "domination")
+    assert sorted(scans) == [(4, False), (5, True)]
+
+
+def test_cached_codes_are_read_only():
+    codes = search._class_codes(4, False)
+    with pytest.raises(ValueError):
+        codes[0] = 1
+    assert search._class_codes(4, False) is codes
+
+
+@pytest.mark.parametrize("enumerate_fn,oriented,max_n", [(enumerate_digraphs, False, 5),
+                                                         (enumerate_tournaments, True, 7)])
+@pytest.mark.parametrize("sc", [False, True])
+def test_repeated_enumeration_matches_a_fresh_scan(enumerate_fn, oriented, max_n, sc):
+    for n in range(1, max_n + 1):
+        first = [g.rows for g in enumerate_fn(n, strongly_connected=sc)]
+        again = [g.rows for g in enumerate_fn(n, strongly_connected=sc)]
+        space = search._CodeSpace(n, oriented)
+        fresh = [Digraph(n, tuple(r)) for r in space.rows(search._minimal_codes(space)).tolist()]
+        assert first == again == [g.rows for g in fresh if not sc or g.is_strongly_connected()]
+
+
 def test_tournaments_are_tournaments():
     for g in enumerate_tournaments(4, strongly_connected=False):
         assert families.is_tournament(g)
