@@ -272,6 +272,15 @@ def _add_format_flags(p):
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``symprice`` parser, built once per process and shared by every
+    ``main`` call.
+
+    Callers must not mutate it.  Each subcommand's ``cmd_*`` function is
+    bound when the parser is first built, so rebinding ``cli.cmd_*`` later
+    does not reach ``main``.  The cache only pays when ``main`` runs more
+    than once in a process; a one-shot command builds the parser once
+    either way.
+    """
     ap = argparse.ArgumentParser(
         prog="symprice",
         description="Price-of-symmetrisation toolkit for digraphs.",
