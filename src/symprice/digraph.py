@@ -22,8 +22,15 @@ import numpy as np
 from .errors import SizeError
 
 ISO_ORDER_CAP = 10  # canonical forms are only claimed up to this order
+ORDER_CAP = 1000  # orders read from family specs and graph files; ladder timings in README
 TABLE_ENTRIES = 1 << 17  # lookup-table words per slice of bfs_arrays, to bound memory
 _WORD = (1 << 64) - 1
+
+
+def check_order(n: int) -> None:
+    """Refuse an order above ``ORDER_CAP`` before anything that large is built."""
+    if n > ORDER_CAP:
+        raise SizeError(f"graph order capped at n={ORDER_CAP}, got {n}")
 
 
 def mask_of(vertices: Iterable[int]) -> int:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .digraph import Digraph, canonical_form, pack_rows
+from .digraph import Digraph, canonical_form, check_order, pack_rows
 from .errors import DomainError, SizeError
 from .invariants import price_arrays
 from . import formulas
@@ -58,13 +58,13 @@ def backward_tournament(n: int) -> Digraph:
     return Digraph.from_arrows(n, arrows)
 
 
-def b_family(n: int, cap: int = B_FAMILY_ORDER_CAP) -> list[Digraph]:
+def b_family(n: int) -> list[Digraph]:
     """All graphs built from the backward tournament by adding any subset
     of reversed path arrows (i+1, i), deduplicated by isomorphism."""
     if n < 3:
         raise ValueError(f"family needs n >= 3, got {n}")
-    if n > cap:
-        raise SizeError(f"family explodes beyond n={cap}, got {n}")
+    if n > B_FAMILY_ORDER_CAP:
+        raise SizeError(f"family explodes beyond n={B_FAMILY_ORDER_CAP}, got {n}")
     base = backward_tournament(n)
     back = [(i + 1, i) for i in range(n - 1)]
     seen: dict[bytes, Digraph] = {}
@@ -236,6 +236,7 @@ def _parse(spec: str) -> tuple[str, list[int]]:
         raise ValueError(f"unknown family {name!r}, expected one of {FAMILY_SPECS}")
     if len(nums) != len(_PARAMS[name]):
         raise ValueError(f"family {name!r} takes {len(_PARAMS[name])} parameter(s), got {len(nums)}")
+    check_order(nums[0])  # every family's first parameter is its order
     return name, nums
 
 

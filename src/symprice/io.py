@@ -11,7 +11,7 @@ import json
 import warnings
 from pathlib import Path
 
-from .digraph import Digraph
+from .digraph import Digraph, check_order
 from .errors import FormatError
 
 
@@ -39,6 +39,7 @@ def from_text(text: str) -> Digraph:
                 raise FormatError(f"bad order {parts[1]!r}", line=lineno) from None
             if n < 1:
                 raise FormatError(f"order must be >= 1, got {n}", line=lineno)
+            check_order(n)
             continue
         if len(parts) != 2:
             raise FormatError(f"expected 'u v', got {line!r}", line=lineno)
@@ -74,6 +75,7 @@ def _integer(x) -> int:
 def from_json_obj(obj: dict) -> Digraph:
     try:
         n = _integer(obj["n"])
+        check_order(n)
         arrows = [(_integer(u), _integer(v)) for u, v in obj["arrows"]]
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad graph JSON: {e}") from None

@@ -37,13 +37,13 @@ int64 array of adjacency row masks; the strong-connectivity filter is
 the reached-all flag of the batched kernel ``digraph.bfs_arrays``, and a
 ``Digraph`` is built only for each class yielded.
 
-The exhaustive scans (``verify_conjecture``, ``verify_theorems``,
-``exhaustive_search``) read the enumerated classes back into such a row
-array and score every class at once with ``invariants.price_arrays``
-(batched BFS, domination and closure, all int64); ``_argmax_scan``
-picks the maximisers and the top entries from the value array.  Every
-graph a report names (each maximiser, top entry and counterexample) is
-priced again by the scalar ``price``, and a disagreement raises
+The exhaustive reports (``verify_conjecture``, ``verify_theorems``,
+``exhaustive_search``) each read one enumeration into such a row array
+(``_class_rows``) and make one scan step (``_scan``): price every class
+at once with ``invariants.price_arrays`` (batched BFS, domination and
+closure, all int64) and rank the difference prices.  Every graph a
+report names (each maximiser, top entry and counterexample) is priced
+again by the scalar ``price``, and a disagreement raises
 InvariantViolation.  Single graphs keep the scalar path:
 ``digraph.bfs_levels`` stays the only scalar frontier loop.
 
@@ -245,23 +245,27 @@ class TheoremReport:
         return self.maximizers_match_family and self.bounds_hold
 
 
-def _class_rows(graphs, n: int) -> np.ndarray:
-    """The adjacency row masks of the enumerated ``graphs`` of order n,
-    as an (N, n) int64 array in enumeration order."""
-    return np.fromiter((g.rows for g in graphs), dtype=(np.int64, n))
+def _class_rows(n: int, strongly_connected: bool) -> np.ndarray:
+    """The classes of ``enumerate_digraphs(n, strongly_connected)`` as an
+    (N, n) int64 array of adjacency row masks, in enumeration order."""
+    return np.fromiter((g.rows for g in enumerate_digraphs(n, strongly_connected)),
+                       dtype=(np.int64, n))
 
 
-def _argmax_scan(values: np.ndarray, top_k: int = 0):
-    """The one argmax scan, over the int values of an enumeration.
-
-    Returns the best value, the indices attaining it in enumeration
-    order, the number of values, and the indices of the ``top_k``
-    highest values, ties kept in enumeration order.
-    """
+def _scan(rows: np.ndarray, invariant: str, top_k: int = 0):
+    """The one scan step: price the classes of ``rows`` together and rank
+    their difference prices |I(G) - I(Ḡ)|.  Returns the prices (of G and
+    of its closure), the best value, the maximisers in enumeration order
+    and the ``top_k`` highest (value, graph) pairs, ties in enumeration
+    order; every graph returned is priced again by ``_repriced``."""
+    prices = price_arrays(rows, invariant)
+    values = np.abs(prices[0] - prices[1])
     best = int(values.max())
     ties = np.flatnonzero(values == best).tolist()
     top = np.argsort(-values, kind="stable")[:top_k].tolist()
-    return best, ties, len(values), top
+    maxi = _repriced(rows, prices, invariant, ties)
+    ranked = list(zip(values[top].tolist(), _repriced(rows, prices, invariant, top)))
+    return prices, best, maxi, ranked
 
 
 def _repriced(rows: np.ndarray, prices, invariant: str, indices) -> list[Digraph]:
@@ -289,19 +293,17 @@ def verify_theorems(n: int) -> list[TheoremReport]:
     if n < 3:
         raise ValueError(f"the theorems require n >= 3, got {n}")
     reports = []
-    every = _class_rows(enumerate_digraphs(n, strongly_connected=False), n)
+    every = _class_rows(n, strongly_connected=False)
     cases = (
         ("diameter", every[bfs_arrays(every)[2]], families.b_family(n)),
         ("domination", every, families.l_set(families.in_star(n), 1)),
     )
     for invariant, rows, expected in cases:
-        prices = value_g, value_sym = price_arrays(rows, invariant)
-        pos_minus = np.abs(value_g - value_sym)
+        prices, best, maxi, _ = _scan(rows, invariant)
+        value_g, value_sym = prices
         # pos_quot = value_g / value_sym > n - 1, in integers
-        over_bound = np.flatnonzero((pos_minus > n - 2)
+        over_bound = np.flatnonzero((np.abs(value_g - value_sym) > n - 2)
                                     | (value_sym > 0) & (value_g > (n - 1) * value_sym))
-        best, ties, count, _ = _argmax_scan(pos_minus)
-        maxi = _repriced(rows, prices, invariant, ties)
         cex = _repriced(rows, prices, invariant, over_bound[:1])[0] if len(over_bound) else None
         family = {canonical_form(g) for g in expected}
         found = {canonical_form(g) for g in maxi}
@@ -319,7 +321,7 @@ def verify_theorems(n: int) -> list[TheoremReport]:
                 best_value=best,
                 maximizers_match_family=match,
                 bounds_hold=not len(over_bound),
-                classes_checked=count,
+                classes_checked=len(rows),
                 counterexample=cex,
             )
         )
@@ -343,24 +345,18 @@ class ConjectureReport:
 def verify_conjecture(n: int, top_k: int = 5) -> ConjectureReport:
     """Exhaustively check that the directed cycle is the unique
     transmission-price maximiser among strongly connected classes."""
-    if n > DIGRAPH_ORDER_CAP:
-        raise SizeError(f"exhaustive check capped at n={DIGRAPH_ORDER_CAP}, got {n}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rows = _class_rows(enumerate_digraphs(n, strongly_connected=True), n)
-    prices = price_arrays(rows, "transmission")
-    values = prices[0] - prices[1]
-    best, ties, count, top = _argmax_scan(values, top_k)
+    rows = _class_rows(n, strongly_connected=True)
+    _, best, maxi, top = _scan(rows, "transmission", top_k)
     cyc = canonical_form(families.cycle(n))
     return ConjectureReport(
         n=n,
         best_value=best,
-        unique_maximizer=len(ties) == 1,
-        maximizer_is_cycle=all(canonical_form(g) == cyc
-                               for g in _repriced(rows, prices, "transmission", ties)),
-        top=[(int(values[i]), g)
-             for i, g in zip(top, _repriced(rows, prices, "transmission", top))],
-        classes_checked=count,
+        unique_maximizer=len(maxi) == 1,
+        maximizer_is_cycle=all(canonical_form(g) == cyc for g in maxi),
+        top=top,
+        classes_checked=len(rows),
     )
 
 
@@ -562,15 +558,14 @@ def exhaustive_search(n: int, objective: str) -> SearchOutcome:
     if n < 1:  # before the scan, which cannot shape rows of no vertices
         raise ValueError(f"order must be >= 1, got {n}")
     t0 = time.monotonic()
-    rows = _class_rows(enumerate_digraphs(n, strongly_connected=objective != "domination"), n)
-    prices = price_arrays(rows, invariant)
-    best, ties, count, _ = _argmax_scan(np.abs(prices[0] - prices[1]))
+    rows = _class_rows(n, strongly_connected=objective != "domination")
+    _, best, maxi, _ = _scan(rows, invariant)
     return SearchOutcome(
         n=n,
         objective=objective,
         best_value=best,
-        maximizers=tuple(_repriced(rows, prices, invariant, ties)),
+        maximizers=tuple(maxi),
         exhaustive=True,
-        graphs_visited=count,
+        graphs_visited=len(rows),
         elapsed=time.monotonic() - t0,
     )

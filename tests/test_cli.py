@@ -10,7 +10,7 @@ import pytest
 import symprice
 from symprice import io, transforms
 from symprice.cli import build_parser, main
-from symprice.digraph import Digraph
+from symprice.digraph import ORDER_CAP, Digraph
 from symprice.errors import InvariantViolation
 from symprice.families import cycle
 from symprice.invariants import INVARIANTS
@@ -156,6 +156,25 @@ def test_transform_t1_refuses_orders_above_the_path_cap(capsys, tmp_path):
     code, _, err = run(capsys, "transform", "--rule", "t1", "--in", str(src))
     assert code == 2
     assert err.startswith("error: longest induced path supported up to")
+
+
+HUGE = 10 ** 12  # an order no process could hold
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", f"path:{HUGE}"],
+    ["construct", "--family", f"cycle:{HUGE}"],
+    ["price", "--family", f"bag:{HUGE}:5", "--invariant", "transmission"],
+    ["price", "--in", "{tmp}/g.txt", "--invariant", "transmission"],
+    ["price", "--in", "{tmp}/g.json", "--invariant", "transmission"],
+], ids=["path", "cycle", "bag", "text-file", "json-file"])
+def test_orders_above_the_order_cap_are_refused(capsys, tmp_path, argv):
+    # refused before anything of that order is built, so each case ends at once
+    (tmp_path / "g.txt").write_text(f"n {HUGE}\n0 1\n")
+    (tmp_path / "g.json").write_text(json.dumps({"n": HUGE, "arrows": []}))
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: graph order capped at n={ORDER_CAP}, got {HUGE}\n"
 
 
 @pytest.mark.parametrize("argv, work", [

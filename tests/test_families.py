@@ -3,8 +3,8 @@ import math
 import pytest
 
 from symprice import families, formulas
-from symprice.digraph import are_isomorphic, canonical_form
-from symprice.errors import DomainError
+from symprice.digraph import ORDER_CAP, are_isomorphic, canonical_form
+from symprice.errors import DomainError, SizeError
 from symprice.families import BagSpec, bag, canonical_bag
 from symprice.invariants import transmission
 from symprice.search import _warm_starts
@@ -17,6 +17,15 @@ def test_cycle_path_complete_instar():
     g = families.in_star(5)
     assert g.arrow_count() == 4
     assert all(v == 0 for _, v in g.arrows())
+
+
+def test_specs_up_to_the_order_cap_are_built():
+    assert families.build_family(f"path:{ORDER_CAP}").n == ORDER_CAP
+    for spec in (f"path:{ORDER_CAP + 1}", f"bag:{ORDER_CAP + 1}:5"):
+        with pytest.raises(SizeError):
+            families.build_family(spec)
+    with pytest.raises(SizeError):
+        families.check_closed_forms([f"cycle:{ORDER_CAP + 1}"])
 
 
 def test_backward_tournament_shape():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 
 from symprice import io
-from symprice.digraph import Digraph
-from symprice.errors import FormatError
+from symprice.digraph import ORDER_CAP, Digraph
+from symprice.errors import FormatError, SizeError
 
 from conftest import digraphs
 
@@ -29,6 +29,15 @@ def test_text_roundtrip(g):
 @given(digraphs())
 def test_json_roundtrip(g):
     assert io.from_json_obj(json.loads(json.dumps(io.to_json_obj(g)))) == g
+
+
+def test_orders_up_to_the_order_cap_are_read():
+    assert io.from_text(f"n {ORDER_CAP}\n").n == ORDER_CAP
+    assert io.from_json_obj({"n": ORDER_CAP, "arrows": []}).n == ORDER_CAP
+    with pytest.raises(SizeError):
+        io.from_text(f"n {ORDER_CAP + 1}\n")
+    with pytest.raises(SizeError):
+        io.from_json_obj({"n": ORDER_CAP + 1, "arrows": []})
 
 
 def test_loop_line_named():

@@ -13,7 +13,7 @@ import pytest
 from symprice import families, search
 from symprice.cli import main
 from symprice.digraph import canonical_form
-from symprice.invariants import objective_fn, pos_sigma, price
+from symprice.invariants import OBJECTIVES, objective_fn, pos_sigma, price
 from symprice.search import (
     ConjectureReport,
     TheoremReport,
@@ -125,6 +125,45 @@ def test_mispriced_maximiser_is_an_internal_error(argv, monkeypatch, capsys):
     assert main(argv) == 4
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("internal error: batched ")
+
+
+def test_mispriced_top_entry_below_the_maximum_is_an_internal_error(monkeypatch, capsys):
+    price_arrays, below_max = search.price_arrays, []
+
+    def wrong(rows, invariant):
+        # both prices of the second-ranked class raised by 1: its rank and
+        # difference price stay, so only its re-pricing can tell
+        value_g, value_sym = (v.copy() for v in price_arrays(rows, invariant))
+        values = np.abs(value_g - value_sym)
+        i = np.argsort(-values, kind="stable")[1]
+        below_max.append(values[i] < values.max())
+        value_g[i] += 1
+        value_sym[i] += 1
+        return value_g, value_sym
+
+    monkeypatch.setattr(search, "price_arrays", wrong)
+    assert main(["verify-conjecture", "--n", "4", "--json"]) == 4
+    assert below_max == [True]
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("internal error: batched ")
+
+
+@pytest.mark.parametrize("report", [
+    lambda: verify_conjecture(4),
+    lambda: verify_theorems(4),
+    *(lambda o=o: exhaustive_search(4, o) for o in OBJECTIVES),
+], ids=["verify_conjecture", "verify_theorems", *(f"exhaustive_search-{o}" for o in OBJECTIVES)])
+def test_each_exhaustive_report_enumerates_once(report, monkeypatch):
+    calls = []
+    enumerate_digraphs = search.enumerate_digraphs
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return enumerate_digraphs(*args, **kwargs)
+
+    monkeypatch.setattr(search, "enumerate_digraphs", spy)
+    report()
+    assert len(calls) == 1
 
 
 def test_reports_are_plain_python_values():
