@@ -25,7 +25,7 @@ from functools import cache
 from pathlib import Path
 
 from . import families, io, search, transforms
-from .digraph import Digraph
+from .digraph import Digraph, check_order
 from .errors import DomainError, FormatError, InvariantViolation, SizeError
 from .invariants import INVARIANTS, OBJECTIVES, pos_sigma, price
 from .transforms import TransformOutcome
@@ -111,6 +111,7 @@ def cmd_price(args) -> int:
 def cmd_verify_closed_forms(args) -> int:
     if args.max_n < 2:
         raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
+    check_order(args.max_n)  # before the O(max_n^2) specs are built
     specs = [families.family_spec("cycle", n) for n in range(2, args.max_n + 1)]
     specs += [families.family_spec("bag", n, k)
               for n in range(11, args.max_n + 1) for k in range(3, n)]

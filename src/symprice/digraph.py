@@ -200,6 +200,36 @@ class Digraph:
             rows[u] |= 1 << v
         return cls(n, tuple(rows))
 
+    @classmethod
+    def from_row_array(cls, n: int, rows: np.ndarray) -> list["Digraph"]:
+        """The graphs of order n, 1 <= n < 63, whose rows are those of an
+        (N, n) int64 array, in array order.  The checks of
+        ``__post_init__`` run once over the whole array, with the same
+        error for the first faulty row; the instances are then built
+        without them."""
+        if n < 1:
+            raise ValueError(f"order must be >= 1, got {n}")
+        if n >= 63:
+            raise ValueError(f"row arrays hold orders below 63, got {n}")
+        if rows.dtype != np.int64:
+            raise ValueError(f"row masks must be int64, got {rows.dtype}")
+        if rows.ndim != 2 or rows.shape[1] != n:
+            raise ValueError("adjacency must have exactly n rows")
+        out_of_range = rows & ~((1 << n) - 1) != 0  # negative rows included
+        fault = out_of_range | (rows >> np.arange(n) & 1 == 1)
+        if fault.any():  # row-major: the first instance, then its first row, as one by one
+            k, i = divmod(int(fault.argmax()), n)
+            raise ValueError(f"row {i} references a vertex >= n" if out_of_range[k, i]
+                             else f"loop at vertex {i}")
+        new, set_field = object.__new__, object.__setattr__  # frozen: set past __setattr__
+        graphs = []
+        for r in rows.tolist():
+            g = new(cls)
+            set_field(g, "n", n)
+            set_field(g, "rows", tuple(r))
+            graphs.append(g)
+        return graphs
+
     # -- basic queries -----------------------------------------------
 
     def has_arrow(self, u: int, v: int) -> bool:

@@ -34,8 +34,9 @@ few survivors meet the rest of the group in blocks.
 
 The surviving codes are decoded, one bit plane at a time, into an (N, n)
 int64 array of adjacency row masks; the strong-connectivity filter is
-the reached-all flag of the batched kernel ``digraph.bfs_arrays``, and a
-``Digraph`` is built only for each class yielded.
+the reached-all flag of the batched kernel ``digraph.bfs_arrays``.  Each
+decoded slice becomes graphs through ``Digraph.from_row_array``, which
+checks the slice once as an array, not each class one by one.
 
 The exhaustive reports (``verify_conjecture``, ``verify_theorems``,
 ``exhaustive_search``) each read one enumeration into such a row array
@@ -75,7 +76,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .digraph import ISO_ORDER_CAP, Digraph, bfs_arrays, canonical_form, pack_rows
+from .digraph import ISO_ORDER_CAP, Digraph, bfs_arrays, canonical_form, check_order, pack_rows
 from .errors import InvariantViolation, SizeError
 # OBJECTIVES stays importable from here for callers of the search API
 from .invariants import (OBJECTIVES, objective_fn, objective_invariant, price,  # noqa: F401
@@ -205,8 +206,7 @@ def _enumerate(space: _CodeSpace, strongly_connected: bool):
         rows = space.rows(codes[lo:lo + _DECODE_CHUNK])
         if strongly_connected:
             rows = rows[bfs_arrays(rows)[2]]
-        for r in rows.tolist():
-            yield Digraph(space.n, tuple(r))
+        yield from Digraph.from_row_array(space.n, rows)
 
 
 def enumerate_digraphs(n: int, strongly_connected: bool = True):
@@ -272,16 +272,14 @@ def _repriced(rows: np.ndarray, prices, invariant: str, indices) -> list[Digraph
     """The graphs at ``indices``, each priced again by the scalar
     ``price``; raises InvariantViolation where the batched values
     ``prices`` (for G and for its closure) disagree."""
-    graphs = []
-    for i in indices:
-        g = Digraph(rows.shape[1], tuple(rows[i].tolist()))
+    graphs = Digraph.from_row_array(rows.shape[1], rows[indices])
+    for i, g in zip(indices, graphs):
         pr = price(g, invariant)
         batched = int(prices[0][i]), int(prices[1][i])
         if (pr.value_g, pr.value_sym) != batched:
             raise InvariantViolation(
                 f"batched {invariant} of {g.rows} and its closure is {batched}, "
                 f"the scalar price gives ({pr.value_g}, {pr.value_sym})")
-        graphs.append(g)
     return graphs
 
 
@@ -509,6 +507,7 @@ def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int 
     of starts is refused.  Fixed seed gives identical outcomes up to the
     elapsed-time field.
     """
+    check_order(n)  # before the O(n) warm-start specs are built
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if budget < 1:

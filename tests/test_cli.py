@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import symprice
-from symprice import io, transforms
+from symprice import families, io, search, transforms
 from symprice.cli import build_parser, main
 from symprice.digraph import ORDER_CAP, Digraph
 from symprice.errors import InvariantViolation
@@ -175,6 +175,25 @@ def test_orders_above_the_order_cap_are_refused(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out) == (2, "")
     assert err == f"error: graph order capped at n={ORDER_CAP}, got {HUGE}\n"
+
+
+@pytest.mark.parametrize("argv, module, work", [
+    (["search", "--mode", "heuristic", "--n", str(ORDER_CAP + 1)], search, "_warm_starts"),
+    (["verify-closed-forms", "--max-n", str(ORDER_CAP + 1)], families, "family_spec"),
+], ids=["heuristic-search", "verify-closed-forms"])
+def test_orders_above_the_order_cap_are_refused_before_specs_are_built(
+        capsys, monkeypatch, argv, module, work):
+    # the spec lists grow as O(n) and O(max_n^2): none of them is started
+    calls, build = [], getattr(module, work)
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(module, work, spy)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, len(calls)) == (2, "", 0)
+    assert err == f"error: graph order capped at n={ORDER_CAP}, got {ORDER_CAP + 1}\n"
 
 
 @pytest.mark.parametrize("argv, work", [

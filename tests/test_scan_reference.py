@@ -5,6 +5,7 @@ at a time, filtered by ``is_strongly_connected`` and priced by the
 scalar ``price``/``pos_sigma``, with an insertion-sorted top list.  It
 shares only the orbit-minimum enumeration with the code under test.
 """
+import hashlib
 from bisect import insort
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from symprice import families, search
 from symprice.cli import main
-from symprice.digraph import canonical_form
+from symprice.digraph import Digraph, canonical_form
 from symprice.invariants import OBJECTIVES, objective_fn, pos_sigma, price
 from symprice.search import (
     ConjectureReport,
@@ -164,6 +165,32 @@ def test_each_exhaustive_report_enumerates_once(report, monkeypatch):
     monkeypatch.setattr(search, "enumerate_digraphs", spy)
     report()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("strong, count, digest", [
+    (False, 218, "a2b941c95241882acfc31931d50072c0c1a799d01c2a685071a1cb7b371b93be"),
+    (True, 83, "39cf12a37dbe88d29e71cfbca6df5c55ce881d7cc4de770ad757b0216a125764"),
+], ids=["all", "strong"])
+def test_class_rows_check_the_classes_as_one_array(strong, count, digest, monkeypatch):
+    # the digest is sha256 of repr(rows.tolist()), recorded when each class
+    # was still checked one Digraph at a time
+    calls, checks = [], []
+    enumerate_digraphs, post_init = search.enumerate_digraphs, Digraph.__post_init__
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return enumerate_digraphs(*args, **kwargs)
+
+    def checked(self):
+        checks.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(search, "enumerate_digraphs", spy)
+    monkeypatch.setattr(Digraph, "__post_init__", checked)
+    rows = search._class_rows(4, strong)
+    assert (len(calls), len(checks)) == (1, 0)
+    assert rows.shape == (count, 4)
+    assert hashlib.sha256(repr(rows.tolist()).encode()).hexdigest() == digest
 
 
 def test_reports_are_plain_python_values():
