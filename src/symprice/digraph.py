@@ -7,9 +7,12 @@ Instances are immutable values; every mutator returns a new graph.
 Batches of graphs of one order are (N, n, W) int64 arrays, W = ceil(n /
 64) words per row (``pack_rows``).  ``bfs_arrays`` searches from every
 source of every graph at once: a level is one table gather per block of
-up to eight vertices (multi-source traversal after Then et al., PVLDB 2014,
-with the Four-Russians tables of Arlazarov, Dinic, Kronrod & Faradzev,
-1970), and the search stops at the first level without a frontier.
+vertices (multi-source traversal after Then et al., PVLDB 2014, with the
+Four-Russians tables of Arlazarov, Dinic, Kronrod & Faradzev, 1970), and
+the search stops at the first level without a frontier.  The n vertices
+fall into ceil(n / 8) blocks of balanced width ceil(n / blocks), so
+n = 12 takes two blocks of 6 (tables of 64 entries, not 256) and n = 20
+three of 7; from n = 50 on the width is 8, so no block straddles a word.
 ``bfs_levels`` is the scalar frontier loop for single graphs.
 """
 from __future__ import annotations
@@ -101,21 +104,29 @@ def _search_slice(rows: np.ndarray, width: int, blocks: int, source: np.ndarray,
     offsets = [np.arange(b, len(rows) * blocks, blocks)[:, None] << width for b in range(blocks)]
     total = np.zeros(len(rows), np.int64)
     depth_max = np.zeros(len(rows), np.int64)
-    frontier = np.broadcast_to(source, rows.shape).copy()
-    seen = frontier.copy()
+    frontier = np.broadcast_to(source, rows.shape)
+    unseen = full ^ frontier  # per source: the vertices not reached yet
+    flat = len(rows), rows.shape[1] * rows.shape[2]
     for depth in range(1, rows.shape[1]):
-        nxt = np.zeros_like(frontier)
-        for b, offset in enumerate(offsets):  # a block's bits lie in one word: 8 divides 64
+        for b, offset in enumerate(offsets):  # a block's bits lie in one word
             word, shift = divmod(b * width, 64)
-            nxt |= table.take((frontier[:, :, word] >> shift & (1 << width) - 1) + offset, axis=0)
-        frontier = nxt & ~seen
-        live = frontier.any(axis=(1, 2))
+            index = frontier[:, :, word] >> shift
+            index &= (1 << width) - 1
+            index += offset
+            if b:
+                nxt |= table.take(index, axis=0)
+            else:
+                nxt = table.take(index, axis=0)
+        nxt &= unseen
+        frontier = nxt
+        count = np.bitwise_count(frontier.view(np.uint64).reshape(flat)).sum(axis=1, dtype=np.int64)
+        live = count > 0
         if not live.any():
             break
-        seen |= frontier
-        total += depth * np.bitwise_count(frontier.view(np.uint64)).sum(axis=(1, 2), dtype=np.int64)
+        unseen ^= frontier
+        total += depth * count
         depth_max[live] = depth
-    return total, depth_max, (seen == full).all(axis=(1, 2))
+    return total, depth_max, ~unseen.any(axis=(1, 2))
 
 
 def bfs_slices(rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -127,8 +138,8 @@ def bfs_slices(rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.nd
     if rows.ndim == 2:
         rows = rows[:, :, None]
     count, n, words = rows.shape
-    width = min(8, n)
-    blocks = -(-n // width)
+    blocks = -(-n // 8)
+    width = -(-n // blocks)  # 8 from n = 50 on: no block straddles a word
     source, full = pack_rows([tuple(1 << i for i in range(n)), ((1 << n) - 1,) * n], n)
     step = max(1, TABLE_ENTRIES // (blocks * words << width))
     for lo in range(0, count, step) or (0,):  # no graphs: one empty slice
@@ -143,13 +154,14 @@ def bfs_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mask of vertex i in graph k.  The level recurrence is that of
     ``bfs_levels``, run for all N * n sources at once: the next frontier
     is the OR of the rows of the frontier's vertices, less the vertices
-    seen.  Each graph gets a lookup table per block of w = min(8, n)
-    vertices holding that OR for all 2^w subsets of the block, so a
-    level costs one gather per block; the search stops once no source
-    has a frontier left.  Graphs go through in slices of at most
-    ``TABLE_ENTRIES`` table words (``bfs_slices``).  Returns, per graph,
-    the sum of the distances reached, the largest depth reached (the
-    diameter of a strongly connected graph) and whether every source
+    seen.  Each graph gets a lookup table per block of w vertices
+    holding that OR for all 2^w subsets of the block, so a level costs
+    one gather per block; the search stops once no source has a
+    frontier left.  There are ceil(n / 8) blocks of w = ceil(n / blocks)
+    vertices, w = 8 from n = 50 on.  Graphs go through in slices of at
+    most ``TABLE_ENTRIES`` table words (``bfs_slices``).  Returns, per
+    graph, the sum of the distances reached, the largest depth reached
+    (the diameter of a strongly connected graph) and whether every source
     reached every vertex.
     """
     total, depth_max, reached = map(np.concatenate, zip(*bfs_slices(rows)))

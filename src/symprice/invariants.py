@@ -135,7 +135,8 @@ def objective_invariant(name: str) -> str:
 
 
 def objective_fn(name: str):
-    """The function a search maximises for the objective ``name``."""
+    """The function a search maximises for the objective ``name``, one
+    graph at a time: the scalar reference of the batched prices."""
     invariant = objective_invariant(name)
     if invariant == "transmission":
         return pos_sigma

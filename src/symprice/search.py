@@ -61,8 +61,11 @@ neighbours that are not strongly connected are dropped without a
 second search of them; the rest are priced with their closures.  For
 the distance objectives the batch is read one ``digraph.bfs_slices``
 slice at a time, so a climb that stops at its evaluation cap leaves the
-later slices unsearched; domination prices it whole.  The start of a
-climb is priced by the scalar objective.
+later slices unsearched; domination prices it whole.  The starts of all
+climbs are priced together by ``invariants.price_arrays`` before any
+climb is dispatched, and each climb gets its start value.  The climbs
+run on at most ``worker_count()`` processes, and never on more
+processes than the machine has cores.
 """
 from __future__ import annotations
 
@@ -79,8 +82,8 @@ import numpy as np
 from .digraph import ISO_ORDER_CAP, Digraph, bfs_arrays, canonical_form, check_order, pack_rows
 from .errors import InvariantViolation, SizeError
 # OBJECTIVES stays importable from here for callers of the search API
-from .invariants import (OBJECTIVES, objective_fn, objective_invariant, price,  # noqa: F401
-                         price_arrays, price_slices)
+from .invariants import (OBJECTIVES, objective_invariant, price, price_arrays,  # noqa: F401
+                         price_slices)
 from . import families
 
 DIGRAPH_ORDER_CAP = 6
@@ -459,12 +462,12 @@ def _moves(g: Digraph, invariant: str):
             yield value, _toggled(rows, flips[i])
 
 
-def _climb(start: Digraph, objective: str, max_evals: int) -> tuple[Digraph, int, int, int]:
-    """Steepest-ascent climb; returns (local optimum, start value, value,
-    evals).  Each step takes the first strictly best neighbour."""
-    invariant = objective_invariant(objective)
+def _climb(start: Digraph, value: int, invariant: str, max_evals: int) -> tuple[Digraph, int, int]:
+    """Steepest-ascent climb from ``start``, whose difference price of
+    ``invariant`` is ``value``; returns (local optimum, value, evals),
+    the start counting as one evaluation.  Each step takes the first
+    strictly best neighbour."""
     g = start
-    start_value = value = objective_fn(objective)(g)
     evals = 1
     while evals < max_evals:
         best_rows, best_val = None, value
@@ -477,7 +480,7 @@ def _climb(start: Digraph, objective: str, max_evals: int) -> tuple[Digraph, int
         if best_rows is None:
             break
         g, value = Digraph(g.n, best_rows), best_val
-    return g, start_value, value, evals
+    return g, value, evals
 
 
 def _warm_starts(n: int, objective: str) -> list[tuple[str, Digraph]]:
@@ -489,11 +492,10 @@ def _warm_starts(n: int, objective: str) -> list[tuple[str, Digraph]]:
     return [(spec, families.build_family(spec)) for spec in specs]
 
 
-def _run_restart(args) -> tuple[int, int, bytes, int, tuple[int, ...]]:
-    start, objective, cap = args
-    g, start_value, value, evals = _climb(start, objective, cap)
+def _run_restart(args) -> tuple[int, bytes, int, tuple[int, ...]]:
+    g, value, evals = _climb(*args)
     # Digraph is cheap to rebuild; ship rows to stay picklable and small
-    return start_value, value, _dedup_key(g), evals, g.rows
+    return value, _dedup_key(g), evals, g.rows
 
 
 def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int = 0) -> SearchOutcome:
@@ -512,7 +514,7 @@ def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int 
         raise ValueError(f"need n >= 3, got {n}")
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-    objective_fn(objective)  # validate early
+    invariant = objective_invariant(objective)  # validate early
     t0 = time.monotonic()
     rng = random.Random(seed)
     starts = _warm_starts(n, objective)
@@ -522,19 +524,21 @@ def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int 
                          f"one evaluation per start, got {budget}")
     starts.extend(("random", random_strongly_connected(n, rng)) for _ in range(restarts))
     cap = budget // len(starts)
-    jobs = [(g, objective, cap) for _, g in starts]
+    value_g, value_sym = price_arrays(pack_rows([g.rows for _, g in starts], n), invariant)
+    start_values = np.abs(value_g - value_sym).tolist()
+    jobs = [(g, value, invariant, cap) for (_, g), value in zip(starts, start_values)]
 
-    workers = min(worker_count(), len(jobs))
+    workers = min(worker_count(), os.cpu_count() or 1, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_restart, jobs))
     else:
         results = [_run_restart(j) for j in jobs]
 
-    visited = sum(r[3] for r in results)
-    best_value = max(r[1] for r in results)
+    visited = sum(r[2] for r in results)
+    best_value = max(r[0] for r in results)
     seen: dict[bytes, Digraph] = {}
-    for _, value, canon, _, rows in results:
+    for value, canon, _, rows in results:
         if value == best_value and canon not in seen:
             seen[canon] = Digraph(n, rows)
     return SearchOutcome(
@@ -546,7 +550,8 @@ def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int 
         graphs_visited=visited,
         elapsed=time.monotonic() - t0,
         restarts=tuple(RestartRecord(name, start_value, value, evals)
-                       for (name, _), (start_value, value, _, evals, _) in zip(starts, results)),
+                       for (name, _), start_value, (value, _, evals, _)
+                       in zip(starts, start_values, results)),
     )
 
 

@@ -86,7 +86,10 @@ def wide_graphs(n):
     return strong + [cut, source, Digraph.empty(n)]
 
 
-@pytest.mark.parametrize("n", [8, 9, 63, 64, 65, 100])
+# every block shape of the kernel (n = 1 is in test_digraph_classes): one
+# block of n <= 8, balanced blocks of up to 8 vertices, and blocks of 8
+# in one, two and three words per row
+@pytest.mark.parametrize("n", [*range(2, 71), 100, 130])
 def test_kernel_against_scalar_bfs_at_word_boundaries(n):
     graphs = wide_graphs(n)
     total, depth, reached = bfs_arrays(pack_rows([g.rows for g in graphs], n))
@@ -103,11 +106,14 @@ def test_kernel_against_scalar_bfs_at_word_boundaries(n):
 
 def test_kernel_slices_match_whole():
     # more graphs than one kernel slice: the slices must join seamlessly,
-    # also at a wide order, where a slice holds a few graphs and copies
-    # of the batch straddle slices
+    # also at orders whose blocks are balanced (a slice holds 1024 graphs
+    # in two blocks of 6 at n = 12, 341 in three of 7 at n = 20) and at a
+    # wide order, where a slice holds a few graphs; copies of the batch
+    # straddle slices
     small = np.array([g.rows for g in enumerate_digraphs(5, strongly_connected=False)], dtype=np.int64)
+    balanced = [pack_rows([g.rows for g in wide_graphs(n)], n) for n in (12, 20)]
     wide = pack_rows([g.rows for g in wide_graphs(100)], 100)
-    for batch, copies in ((small, 4), (wide, 10)):
+    for batch, copies in ((small, 4), (balanced[0], 200), (balanced[1], 60), (wide, 10)):
         rows = np.concatenate([batch] * copies)
         assert len(list(bfs_slices(rows))) > 1
         total, depth, reached = bfs_arrays(rows)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from symprice import families, formulas, search
+from symprice import families, formulas, invariants, search
 from symprice.digraph import Digraph, canonical_form
 from symprice.errors import SizeError
 from symprice.invariants import pos_sigma, transmission
@@ -240,6 +240,46 @@ def test_worker_count_env(monkeypatch):
             worker_count()
     monkeypatch.delenv("SYMPRICE_THREADS")
     assert worker_count() >= 1
+
+
+def test_hill_climb_prices_its_starts_as_one_batch(monkeypatch):
+    # the starts go through price_arrays with the steps: no scalar price
+    monkeypatch.setenv("SYMPRICE_THREADS", "1")
+    calls = []
+    for module, name in ((invariants, "pos_sigma"), (invariants, "price"), (search, "price")):
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    for args in ((12, "sigma", 2000, 1), (7, "diameter", 3000, 0)):
+        hill_climb(*args)
+    assert calls == []
+
+
+def test_hill_climb_starts_at_most_one_process_per_core(monkeypatch):
+    pools = []
+
+    class InlinePool:
+        """Records its size and runs the jobs in this process."""
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("SYMPRICE_THREADS", "1")
+    serial = hill_climb(7, "diameter", 3000, 0)
+    assert pools == []
+    monkeypatch.setenv("SYMPRICE_THREADS", "1000000")
+    pooled = hill_climb(7, "diameter", 3000, 0)
+    assert pools == [3]  # six starts, three cores
+    assert (pooled.best_value, pooled.restarts) == (serial.best_value, serial.restarts)
 
 
 @pytest.mark.slow
