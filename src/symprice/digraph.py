@@ -129,6 +129,15 @@ def _search_slice(rows: np.ndarray, width: int, blocks: int, source: np.ndarray,
     return total, depth_max, ~unseen.any(axis=(1, 2))
 
 
+def slice_shape(n: int) -> tuple[int, int, int]:
+    """The kernel's blocks, block width and graphs per slice at order n:
+    ceil(n / 8) blocks of balanced width, and as many graphs as
+    ``TABLE_ENTRIES`` table words allow."""
+    blocks = -(-n // 8)
+    width = -(-n // blocks)  # 8 from n = 50 on: no block straddles a word
+    return blocks, width, max(1, TABLE_ENTRIES // (blocks * -(-n // 64) << width))
+
+
 def bfs_slices(rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The batched kernel of ``bfs_arrays``, one slice of graphs at a
     time: yields its three arrays for consecutive slices of ``rows``, so
@@ -137,11 +146,9 @@ def bfs_slices(rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.nd
     graphs between slices without the memory of two."""
     if rows.ndim == 2:
         rows = rows[:, :, None]
-    count, n, words = rows.shape
-    blocks = -(-n // 8)
-    width = -(-n // blocks)  # 8 from n = 50 on: no block straddles a word
+    count, n, _ = rows.shape
+    blocks, width, step = slice_shape(n)
     source, full = pack_rows([tuple(1 << i for i in range(n)), ((1 << n) - 1,) * n], n)
-    step = max(1, TABLE_ENTRIES // (blocks * words << width))
     for lo in range(0, count, step) or (0,):  # no graphs: one empty slice
         yield _search_slice(rows[lo:lo + step], width, blocks, source, full)
 

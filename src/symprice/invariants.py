@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
 
 import numpy as np
 
@@ -143,44 +142,27 @@ def objective_fn(name: str):
     return lambda g: int(price(g, invariant).pos_minus)
 
 
-def price_slices(rows: np.ndarray, invariant: str) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``price_arrays`` over the strongly connected graphs of ``rows``,
-    one ``bfs_slices`` slice at a time: yields each slice's reached-all
-    flags, then the ``invariant`` values (transmission, diameter or
-    domination) of its strongly connected graphs and of their closures.
-    The kernel searches each graph once, and a reader that stops early
-    leaves the later slices unsearched.  Domination prices the whole
-    batch as one slice: its subset scan costs about as much for one
-    graph as for many."""
-    if invariant not in ("transmission", "diameter", "domination"):
-        raise ValueError(f"no batched {invariant!r}, expected transmission, diameter or domination")
-    if invariant == "domination":
-        strong = bfs_arrays(rows)[2]
-        kept = rows[strong]
-        yield strong, _domination_array(kept), _domination_array(closure_array(kept))
-        return
-    lo = 0
-    for total, depth_max, strong in bfs_slices(rows):
-        kept = rows[lo:lo + len(strong)][strong]
-        lo += len(strong)
-        total_c, depth_max_c, _ = bfs_arrays(closure_array(kept))
-        if invariant == "transmission":
-            yield strong, total[strong], total_c
-        else:
-            yield strong, depth_max[strong], depth_max_c
-
-
 def price_arrays(rows: np.ndarray, invariant: str) -> tuple[np.ndarray, np.ndarray]:
     """The ``invariant`` values of every graph of an (N, n) array of row
     masks, or of an (N, n, W) one from ``pack_rows``, and of its
     symmetric closure, as ``price`` gives them one graph at a time, all
     int64.  Distance invariants need strongly connected graphs, as their
-    scalar functions do; domination takes any graph."""
+    scalar functions do, and are searched one ``bfs_slices`` slice at a
+    time, each slice's closures right after it, so no more than a slice
+    of closures is held at once; domination takes any graph."""
     if invariant == "domination":
         return _domination_array(rows), _domination_array(closure_array(rows))
-    strong, value_g, value_sym = map(np.concatenate, zip(*price_slices(rows, invariant)))
-    if not strong.all():
-        raise DomainError(f"graph {rows[~strong][0].tolist()} not strongly connected")
+    if invariant not in ("transmission", "diameter"):
+        raise ValueError(f"no batched {invariant!r}, expected transmission, diameter or domination")
+    parts, lo = [], 0
+    for total, depth_max, strong in bfs_slices(rows):
+        part = rows[lo:lo + len(strong)]
+        lo += len(strong)
+        if not strong.all():
+            raise DomainError(f"graph {part[~strong][0].tolist()} not strongly connected")
+        total_c, depth_max_c, _ = bfs_arrays(closure_array(part))
+        parts.append((total, total_c) if invariant == "transmission" else (depth_max, depth_max_c))
+    value_g, value_sym = map(np.concatenate, zip(*parts))
     return value_g, value_sym
 
 

@@ -50,22 +50,25 @@ InvariantViolation.  Single graphs keep the scalar path:
 
 The hill climber is a deterministic steepest-ascent search with warm
 starts from the known extremal families plus seeded random restarts.
-A step scores every single-arrow move (removal, addition, reversal)
-that keeps the graph strongly connected and takes the first strictly
-best one.  Every objective goes through one path: the graphs of a
-step's moves are stacked into one packed row array (removals in arrow
-order, additions in (u, v) order, then reversals of one-way arrows) and
-priced by ``invariants.price_slices``.  Its batched BFS gives each
-neighbour's reached-all flag together with its distance values, so the
-neighbours that are not strongly connected are dropped without a
-second search of them; the rest are priced with their closures.  For
-the distance objectives the batch is read one ``digraph.bfs_slices``
-slice at a time, so a climb that stops at its evaluation cap leaves the
-later slices unsearched; domination prices it whole.  The starts of all
-climbs are priced together by ``invariants.price_arrays`` before any
-climb is dispatched, and each climb gets its start value.  The climbs
-run on at most ``worker_count()`` processes, and never on more
-processes than the machine has cores.
+A step scores the single-arrow moves (removal, addition, reversal) that
+keep the graph strongly connected, in that order, and takes the first
+strictly best one; a climb ends at a local optimum or at its cap of
+evaluations.  The climbs run in lockstep (``_climb_group``): each round
+is one ``_step`` of every live climb, and ``_evaluated`` prices the
+round's moves of all climbs together.  Each climb adds only the moves
+its cap can still use, and another batch where removals or reversals
+broke too many of them.  A move's closure is Ḡ, or Ḡ with the one pair
+{u, v} toggled (the removal of a one-way arrow, or an addition on an
+empty pair), so it is keyed by that pair and built from Ḡ's rows, and
+each distinct closure is priced once.  For the distance objectives the
+moved graphs and their closures go through the kernel as one batch,
+built one slice at a time, whose reached-all flags drop the neighbours
+that are not strongly connected; domination prices the evaluated graphs and their closures in
+one ``_domination_array`` scan.  The starts of all climbs are priced
+together by ``invariants.price_arrays`` before any climb is dispatched.
+The climbs are dealt round-robin into ``min(worker_count(), cores,
+climbs)`` groups, one process per group, or in this process when there
+is one group.
 """
 from __future__ import annotations
 
@@ -79,11 +82,12 @@ from itertools import permutations
 
 import numpy as np
 
-from .digraph import ISO_ORDER_CAP, Digraph, bfs_arrays, canonical_form, check_order, pack_rows
+from .digraph import (ISO_ORDER_CAP, Digraph, bfs_arrays, canonical_form, check_order, pack_rows,
+                      slice_shape)
 from .errors import InvariantViolation, SizeError
 # OBJECTIVES stays importable from here for callers of the search API
-from .invariants import (OBJECTIVES, objective_invariant, price, price_arrays,  # noqa: F401
-                         price_slices)
+from .invariants import (OBJECTIVES, _domination_array, objective_invariant,  # noqa: F401
+                         price, price_arrays)
 from . import families
 
 DIGRAPH_ORDER_CAP = 6
@@ -423,64 +427,191 @@ def random_strongly_connected(n: int, rng: random.Random, extra: float = 0.3) ->
     return g
 
 
-def _toggled(rows: tuple[int, ...], arrows: list[tuple[int, int]]) -> tuple[int, ...]:
-    """Adjacency rows with each given arrow flipped (removed if present,
-    added if absent)."""
-    out = list(rows)
-    for u, v in arrows:
-        out[u] ^= 1 << v
-    return tuple(out)
+def _adjacency(words: np.ndarray) -> np.ndarray:
+    """The (N, n, n) boolean adjacency matrices of a ``pack_rows`` array."""
+    return np.unpackbits(words.astype("<i8").view(np.uint8), axis=-1, count=words.shape[1],
+                         bitorder="little").astype(bool)
 
 
-def _flipped(rows: tuple[int, ...], flips: list[list[tuple[int, int]]]) -> np.ndarray:
-    """Batched ``_toggled``: ``pack_rows`` of one copy of ``rows`` per
-    entry of ``flips``, copy i with the arrows of ``flips[i]`` flipped."""
-    n = len(rows)
-    batch = np.repeat(pack_rows([rows], n), len(flips), axis=0)
-    copy, u, v = np.array([(i, u, v) for i, arrows in enumerate(flips) for u, v in arrows],
-                          dtype=np.int64).reshape(-1, 3).T
+def _words(adj: np.ndarray) -> np.ndarray:
+    """The ``pack_rows`` words of (..., n, n) boolean adjacency matrices."""
+    n = adj.shape[-1]
+    bits = np.zeros((*adj.shape[:-1], -(-n // 64) * 64), bool)
+    bits[..., :n] = adj
+    return np.packbits(bits, axis=-1, bitorder="little").view("<i8")
+
+
+def _toggle(batch: np.ndarray, copy: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Flip the arrow u[i] -> v[i] of graph copy[i] of a ``pack_rows``
+    batch, in place; no (copy, u) pair may repeat."""
     batch[copy, u, v >> 6] ^= 1 << (v & 63)
+
+
+def _neighbours(adj: np.ndarray):
+    """The single-arrow moves of each graph of a (C, n, n) boolean
+    adjacency stack, graph by graph, in the climber's order: removals in
+    arrow order, additions in (u, v) order, then reversals of one-way
+    arrows.  Returns the arrays (climb, kind, u, v, pos, key): kind 0, 1
+    or 2 for the removal, addition or reversal of u -> v, pos the move's
+    place among its graph's moves and key its closure's.  The closure of
+    a move is Ḡ with the pair {u, v} toggled where it removes a one-way
+    arrow or adds one on an empty pair, and Ḡ itself otherwise; its key
+    is climb * (n² + 1) plus min(u, v) * n + max(u, v), or plus n² for
+    Ḡ, so the additions u -> v and v -> u share one.  A removal or
+    reversal of u -> v where u has no other out-arrow or v no other
+    in-arrow cannot leave a strongly connected graph, and is left out."""
+    n = adj.shape[1]
+    cut = (adj.sum(axis=2) == 1)[:, :, None] | (adj.sum(axis=1) == 1)[:, None, :]
+    kinds = np.stack([adj & ~cut, ~adj & ~np.eye(n, dtype=bool), adj & ~adj.transpose(0, 2, 1) & ~cut],
+                     axis=1)
+    climb, kind, u, v = np.nonzero(kinds)
+    sizes = kinds.sum(axis=(1, 2, 3))
+    pos = np.arange(len(climb)) - (np.cumsum(sizes) - sizes)[climb]
+    pair = np.where((kind < 2) & ~adj[climb, v, u], np.minimum(u, v) * n + np.maximum(u, v), n * n)
+    return climb, kind, u, v, pos, climb * (n * n + 1) + pair
+
+
+def _moved(words: np.ndarray, climb, kind, u, v) -> np.ndarray:
+    """The graphs that moves of ``_neighbours`` make: a copy of the
+    words of the move's graph with u -> v flipped, and v -> u as well
+    for a reversal."""
+    batch = words[climb]
+    copy = np.arange(len(climb))
+    _toggle(batch, copy, u, v)
+    rev = kind == 2
+    _toggle(batch, copy[rev], v[rev], u[rev])
     return batch
 
 
-def _moves(g: Digraph, invariant: str):
-    """Yield (|I(h) - I(h̄)|, h.rows) for the strongly connected
-    single-arrow neighbours h of g: removals in arrow order, additions in
-    (u, v) order, then reversals of one-way arrows.  The neighbours are
-    stacked into one batch and priced by ``price_slices``, so a reader
-    that stops early leaves the later slices unsearched."""
-    rows = g.rows
-    arrows = list(g.arrows())
-    flips = [[a] for a in arrows]
-    flips += [[(u, v)] for u in range(g.n) for v in range(g.n) if u != v and not rows[u] >> v & 1]
-    flips += [[(u, v), (v, u)] for u, v in arrows if not rows[v] >> u & 1]
-    lo = 0
-    for strong, value_g, value_sym in price_slices(_flipped(rows, flips), invariant):
-        kept = (np.flatnonzero(strong) + lo).tolist()
-        lo += len(strong)
-        for i, value in zip(kept, np.abs(value_g - value_sym).tolist()):
-            yield value, _toggled(rows, flips[i])
+def _closures(sym_words: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The closures with the given ``_neighbours`` keys: a copy of the
+    words of its graph's Ḡ, from ``sym_words``, with the key's pair
+    toggled in both directions."""
+    n = sym_words.shape[1]
+    climb, pair = np.divmod(keys, n * n + 1)
+    batch = sym_words[climb]
+    copy = np.flatnonzero(pair < n * n)
+    u, v = np.divmod(pair[copy], n)
+    _toggle(batch, copy, u, v)
+    _toggle(batch, copy, v, u)
+    return batch
 
 
-def _climb(start: Digraph, value: int, invariant: str, max_evals: int) -> tuple[Digraph, int, int]:
-    """Steepest-ascent climb from ``start``, whose difference price of
-    ``invariant`` is ``value``; returns (local optimum, value, evals),
-    the start counting as one evaluation.  Each step takes the first
-    strictly best neighbour."""
-    g = start
-    evals = 1
-    while evals < max_evals:
-        best_rows, best_val = None, value
-        for v, h_rows in _moves(g, invariant):
-            evals += 1
-            if v > best_val:
-                best_rows, best_val = h_rows, v
-            if evals >= max_evals:
-                break
-        if best_rows is None:
-            break
-        g, value = Digraph(g.n, best_rows), best_val
-    return g, value, evals
+def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
+    """The strongly connected neighbours that each graph of a (C, n, n)
+    boolean adjacency stack evaluates in one step, at most
+    ``remaining[c]`` for graph c, in the order of ``_neighbours``, with
+    their difference prices of ``invariant``.  Returns (climb, kind, u, v,
+    value) arrays.
+
+    A graph's first batch is its next ``remaining`` moves plus as many
+    more as it has removals, up to ``remaining`` more.  Additions keep a
+    graph strongly connected, so a batch falls short only where removals
+    or reversals broke the graph; a graph whose batch falls short
+    searches twice as many moves again, until it has ``remaining``
+    strong neighbours or no moves left.  For the distance invariants a
+    batch is the moved graphs and the closures they need, each distinct
+    closure once, built and searched one kernel slice at a time
+    (``slice_shape``), so that a round of many climbs holds no more rows
+    than a slice.  Domination searches the batches for strong
+    connectivity alone, and prices the evaluated graphs and their
+    closures in one ``_domination_array`` call."""
+    count, n = adj.shape[:2]
+    climb, kind, u, v, pos, key = _neighbours(adj)
+    words, sym_words = _words(adj), _words(adj | adj.transpose(0, 2, 1))
+    step = slice_shape(n)[2]
+    strong = np.zeros(len(climb), bool)
+    value_g = np.zeros(len(climb), np.int64)
+    value_sym = np.zeros(count * (n * n + 1), np.int64)  # by closure key
+    priced = np.zeros(len(value_sym), bool)
+
+    def unpriced(moves: np.ndarray) -> np.ndarray:
+        """The keys of the closures of ``moves`` not priced yet, ascending,
+        marked priced."""
+        fresh = np.zeros(len(priced), bool)
+        fresh[key[moves]] = True
+        fresh &= ~priced
+        priced[fresh] = True
+        return np.flatnonzero(fresh)
+
+    def batch(moves: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        graphs = _moved(words, climb[moves], kind[moves], u[moves], v[moves])
+        return np.concatenate([graphs, _closures(sym_words, keys)])
+
+    def search(moves: np.ndarray) -> None:
+        distance = invariant != "domination"
+        keys = unpriced(moves) if distance else key[:0]
+        m = len(moves)  # the graphs, then the closures, a kernel slice at a time
+        slices = [bfs_arrays(batch(moves[lo:lo + step], keys[max(0, lo - m):max(0, lo + step - m)]))
+                  for lo in range(0, max(m + len(keys), 1), step)]
+        total, depth_max, reached = map(np.concatenate, zip(*slices))
+        strong[moves] = reached[:m]
+        if distance:
+            values = total if invariant == "transmission" else depth_max
+            value_g[moves], value_sym[keys] = values[:m], values[m:]
+
+    size = np.bincount(climb, minlength=count)
+    done = np.zeros(count, np.int64)  # each graph's moves searched so far
+    end = remaining + np.minimum(np.bincount(climb[kind == 0], minlength=count), remaining)
+    short = np.ones(count, bool)
+    while short.any():
+        search(np.flatnonzero(short[climb] & (pos >= done[climb]) & (pos < end[climb])))
+        found = np.bincount(climb[strong], minlength=count)
+        short = (found < remaining) & (end < size)
+        done, end = end, 2 * end
+    # strong moves of the same graph ahead of each move
+    ahead = np.cumsum(strong) - strong - (np.cumsum(found) - found)[climb]
+    taken = np.flatnonzero(strong & (ahead < remaining[climb]))
+    if invariant == "domination":
+        keys = unpriced(taken)
+        values = _domination_array(batch(taken, keys))
+        value_g[taken], value_sym[keys] = values[:len(taken)], values[len(taken):]
+    return (climb[taken], kind[taken], u[taken], v[taken],
+            np.abs(value_g[taken] - value_sym[key[taken]]))
+
+
+def _step(adj: np.ndarray, value: np.ndarray, remaining: np.ndarray, invariant: str):
+    """One steepest-ascent step of every graph of a (C, n, n) boolean
+    adjacency stack, whose difference prices are ``value``: each walks
+    its ``_evaluated`` neighbours and takes the first strictly best.
+    Returns the evaluations each graph spent, then, for the graphs that
+    found a better neighbour, ascending, the graph, its move (kind, u, v)
+    and the move's value."""
+    climb, kind, u, v, values = _evaluated(adj, remaining, invariant)
+    best = value.copy()
+    np.maximum.at(best, climb, values)
+    top = np.flatnonzero(values == best[climb])
+    top = top[np.diff(climb[top], prepend=-1) != 0]  # the first of each graph
+    top = top[best[climb[top]] > value[climb[top]]]
+    return (np.bincount(climb, minlength=len(adj)), climb[top], kind[top], u[top], v[top],
+            values[top])
+
+
+def _climb_group(job) -> list[tuple[int, bytes, int, tuple[int, ...]]]:
+    """Steepest-ascent climbs of a group of starts in lockstep: each round
+    is one ``_step`` of every climb still live, and a climb ends at a
+    local optimum or once it has spent its cap of evaluations.  ``job``
+    is (adjacency stack, start values, invariant, cap), each start
+    counting as one evaluation; returns (value, dedup key, evals, rows)
+    per start, rows shipped in place of a Digraph to stay small."""
+    adj, value, invariant, cap = job
+    adj, value = adj.copy(), np.array(value, np.int64)
+    evals = np.ones(len(adj), np.int64)
+    live = np.flatnonzero(evals < cap)
+    while len(live):
+        spent, better, kind, u, v, best = _step(adj[live], value[live], cap - evals[live], invariant)
+        evals[live] += spent
+        better = live[better]
+        adj[better, u, v] ^= True
+        rev = kind == 2
+        adj[better[rev], v[rev], u[rev]] ^= True
+        value[better] = best
+        live = better[evals[better] < cap]
+    results = []
+    for a, val, ev in zip(adj, value.tolist(), evals.tolist()):
+        rows = tuple(int.from_bytes(r.tobytes(), "little") for r in _words(a))
+        results.append((val, _dedup_key(Digraph(len(a), rows)), ev, rows))
+    return results
 
 
 def _warm_starts(n: int, objective: str) -> list[tuple[str, Digraph]]:
@@ -490,12 +621,6 @@ def _warm_starts(n: int, objective: str) -> list[tuple[str, Digraph]]:
     if objective == "sigma":
         specs += [families.family_spec("bag", n, k) for k in range(3, n)]
     return [(spec, families.build_family(spec)) for spec in specs]
-
-
-def _run_restart(args) -> tuple[int, bytes, int, tuple[int, ...]]:
-    g, value, evals = _climb(*args)
-    # Digraph is cheap to rebuild; ship rows to stay picklable and small
-    return value, _dedup_key(g), evals, g.rows
 
 
 def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int = 0) -> SearchOutcome:
@@ -524,16 +649,21 @@ def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int 
                          f"one evaluation per start, got {budget}")
     starts.extend(("random", random_strongly_connected(n, rng)) for _ in range(restarts))
     cap = budget // len(starts)
-    value_g, value_sym = price_arrays(pack_rows([g.rows for _, g in starts], n), invariant)
+    words = pack_rows([g.rows for _, g in starts], n)
+    value_g, value_sym = price_arrays(words, invariant)
     start_values = np.abs(value_g - value_sym).tolist()
-    jobs = [(g, value, invariant, cap) for (_, g), value in zip(starts, start_values)]
-
-    workers = min(worker_count(), os.cpu_count() or 1, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_run_restart, jobs))
+    adj = _adjacency(words)
+    # starts dealt round-robin: group k climbs starts k, k + groups, ...
+    groups = min(worker_count(), os.cpu_count() or 1, len(starts))
+    jobs = [(adj[k::groups], start_values[k::groups], invariant, cap) for k in range(groups)]
+    if groups > 1:
+        with ProcessPoolExecutor(max_workers=groups) as ex:
+            dealt = list(ex.map(_climb_group, jobs))
     else:
-        results = [_run_restart(j) for j in jobs]
+        dealt = [_climb_group(jobs[0])]
+    results = [None] * len(starts)
+    for k, out in enumerate(dealt):
+        results[k::groups] = out
 
     visited = sum(r[2] for r in results)
     best_value = max(r[0] for r in results)

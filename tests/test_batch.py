@@ -3,10 +3,9 @@
 Every class of ``enumerate_digraphs`` up to n = 5, every tournament up
 to n = 6 and hypothesis row arrays up to n = 7 (strongly connected or
 not) are priced both ways: the batched values of G and of its closure
-must equal the scalar ``INVARIANTS`` functions, over the strongly
-connected graphs of a mixed batch (``price_slices``) and over all the
-graphs an invariant is defined on (``price_arrays``), and the
-reached-all flag must equal ``is_strongly_connected``.
+must equal the scalar ``INVARIANTS`` functions over all the graphs an
+invariant is defined on (``price_arrays``), and the reached-all flag
+must equal ``is_strongly_connected``.
 """
 import random
 
@@ -17,8 +16,9 @@ from hypothesis import strategies as st
 
 from symprice.digraph import Digraph, bfs_arrays, bfs_slices, closure_array, pack_rows
 from symprice.distances import all_pairs_distances
+from symprice import invariants
 from symprice.errors import DomainError
-from symprice.invariants import INVARIANTS, diameter, price_arrays, price_slices, transmission
+from symprice.invariants import INVARIANTS, diameter, price_arrays, transmission
 from symprice.search import enumerate_digraphs, enumerate_tournaments, random_strongly_connected
 
 from conftest import digraphs
@@ -34,11 +34,6 @@ def check_batch(graphs):
     strong_graphs = [g for g, ok in zip(graphs, reached) if ok]
     for name in ("domination", "transmission", "diameter"):
         f = INVARIANTS[name]
-        # price_slices prices the strongly connected graphs of a mixed batch
-        flags, value_g, value_sym = map(np.concatenate, zip(*price_slices(rows, name)))
-        assert flags.tolist() == reached.tolist()
-        assert value_g.tolist() == [f(g) for g in strong_graphs], name
-        assert value_sym.tolist() == [f(g.symmetric_closure()) for g in strong_graphs], name
         strong = rows if name == "domination" else rows[reached]
         priced = graphs if name == "domination" else strong_graphs
         if not len(strong):
@@ -121,6 +116,19 @@ def test_kernel_slices_match_whole():
         for part in (total, depth, reached):
             assert all((part[i * k:(i + 1) * k] == part[:k]).all() for i in range(copies))
         assert [p.tolist() for p in bfs_arrays(batch)] == [p[:k].tolist() for p in (total, depth, reached)]
+
+
+def test_price_arrays_holds_one_slice_of_closures(monkeypatch):
+    # the distance prices take the closures a kernel slice at a time, so
+    # an n = 6 scan holds one slice of them, not all 1,540,944
+    sizes = []
+    closure = invariants.closure_array
+    monkeypatch.setattr(invariants, "closure_array", lambda rows: sizes.append(len(rows)) or closure(rows))
+    rows = pack_rows([g.rows for g in wide_graphs(12)[:3]] * 1000, 12)
+    step = len(next(bfs_slices(rows))[0])
+    value_g, value_sym = price_arrays(rows, "transmission")
+    assert sizes == [step] * (len(rows) // step) + [len(rows) % step] * (len(rows) % step > 0)
+    assert value_sym.tolist() == [transmission(g.symmetric_closure()) for g in wide_graphs(12)[:3]] * 1000
 
 
 def test_pack_rows_splits_rows_into_words():

@@ -1,32 +1,46 @@
-"""The hill climber's move pricing and its recorded outcomes.
+"""The hill climber's rounds and its recorded outcomes.
 
-``_moves`` stacks every single-arrow neighbour of the current graph into
-one batch and prices it through ``price_slices``, for every objective.
-The reference it must match, move for move, is ``neighbors`` below with
-the scalar ``objective_fn`` on each neighbour: removals that keep the
-graph strongly connected, then additions, then reversals.  The golden
-outcomes were recorded from earlier climbers and must not move.
+A round (``search._step``) prices one step of several climbs at once:
+``_evaluated`` stacks every climb's single-arrow neighbours and the
+distinct closures they need into one kernel batch.  The reference it
+must match, climb by climb, is ``neighbors`` below walked with the
+scalar ``objective_fn``: removals that keep the graph strongly
+connected, then additions, then reversals, stopping after ``remaining``
+evaluations and taking the first strictly best.  The golden outcomes
+were recorded from earlier climbers and must not move.
 """
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symprice.digraph import Digraph
+from symprice import digraph, invariants, search
+from symprice.digraph import Digraph, pack_rows
 from symprice.families import cycle
 from symprice.invariants import OBJECTIVES, objective_fn, objective_invariant
-from symprice.search import _moves, hill_climb, random_strongly_connected
+from symprice.search import (_adjacency, _closures, _evaluated, _neighbours, _step, _words,
+                             hill_climb, random_strongly_connected)
 
 
 @st.composite
-def strong_digraphs(draw, max_n=9):
+def strong_digraphs(draw, n):
     """A hamiltonian cycle in a drawn vertex order plus any drawn arrows."""
-    n = draw(st.integers(2, max_n))
     order = draw(st.permutations(range(n)))
     slots = [(i, j) for i in range(n) for j in range(n) if i != j]
     arrows = draw(st.sets(st.sampled_from(slots)))
     return Digraph.from_arrows(n, arrows | {(order[i], order[(i + 1) % n]) for i in range(n)})
+
+
+@st.composite
+def rounds(draw, max_n=8, max_climbs=4):
+    """1..max_climbs strong digraphs of one order, each with a cap of
+    remaining evaluations, often one that ends mid-neighbourhood."""
+    n = draw(st.integers(2, max_n))
+    graphs = draw(st.lists(strong_digraphs(n), min_size=1, max_size=max_climbs))
+    remaining = draw(st.lists(st.integers(1, n * n + n), min_size=len(graphs), max_size=len(graphs)))
+    return graphs, remaining
 
 
 def neighbors(g):
@@ -47,25 +61,77 @@ def neighbors(g):
                 yield h
 
 
-def check_moves(g, objective, sample=None):
-    """``_moves`` against the reference: the same neighbours in the same
-    order, each priced as the scalar objective prices it (a seeded
-    ``sample`` of them, where pricing all would be slow)."""
-    moves = list(_moves(g, objective_invariant(objective)))
-    assert all(type(value) is int for value, _ in moves)
-    assert [rows for _, rows in moves] == [h.rows for h in neighbors(g)]
-    if sample is not None:
-        moves = random.Random(0).sample(moves, sample)
+def moved(g, kind, u, v):
+    """The graph a move of ``_neighbours`` makes from g."""
+    h = g.add_arrow(u, v) if kind == 1 else g.remove_arrow(u, v)
+    return h.add_arrow(v, u) if kind == 2 else h
+
+
+def reference_step(g, objective, remaining):
+    """The scalar walk of one step: g's value, the (rows, value) of the
+    first ``remaining`` strong neighbours, and the rows and value of the
+    first strictly best of them, or None."""
     obj = objective_fn(objective)
-    assert [value for value, _ in moves] == [obj(Digraph(g.n, rows)) for _, rows in moves]
+    value = obj(g)
+    walked = []
+    for h in neighbors(g):
+        if len(walked) == remaining:
+            break
+        walked.append((h.rows, obj(h)))
+    best = max((v for _, v in walked), default=value)
+    chosen = next(((rows, v) for rows, v in walked if v == best), None) if best > value else None
+    return value, walked, chosen
+
+
+def stack(graphs):
+    return _adjacency(pack_rows([g.rows for g in graphs], graphs[0].n))
+
+
+def check_round(graphs, remaining, objective, sample=None):
+    """One round over ``graphs`` against the reference walk of each: the
+    same moves in the same order, each valued as the scalar objective
+    values it (a seeded ``sample`` of them, where valuing all would be
+    slow), the same evaluations spent and the same move chosen."""
+    adj, cap = stack(graphs), np.array(remaining)
+    invariant = objective_invariant(objective)
+    climb, kind, u, v, values = _evaluated(adj, cap, invariant)
+    assert all(type(x) is int for x in values.tolist())
+    refs = [reference_step(g, objective, r) if sample is None else None
+            for g, r in zip(graphs, remaining)]
+    for c, g in enumerate(graphs):
+        mine = [(moved(g, *move).rows, value) for *move, value
+                in zip(*(a[climb == c].tolist() for a in (kind, u, v, values)))]
+        if sample is None:
+            assert mine == refs[c][1]
+            continue
+        assert [rows for rows, _ in mine] == [h.rows for h in neighbors(g)][:remaining[c]]
+        obj = objective_fn(objective)
+        for rows, value in random.Random(0).sample(mine, min(sample, len(mine))):
+            assert value == obj(Digraph(g.n, rows))
+    if sample is not None:
+        return
+    spent, better, kind, u, v, best = _step(adj, np.array([r[0] for r in refs]), cap, invariant)
+    assert spent.tolist() == [len(r[1]) for r in refs]
+    steps = {c: (moved(graphs[c], *move).rows, value) for c, *move, value
+             in zip(*(a.tolist() for a in (better, kind, u, v, best)))}
+    assert steps == {c: r[2] for c, r in enumerate(refs) if r[2] is not None}
+
+
+# two directed triangles 1 -> 3 -> 4 -> 1 and 2 -> 0 -> 5 -> 2 joined by
+# 1 -> 2 and 0 -> 3, labelled so those two come first among the removals:
+# neither end of either has degree one, yet removing either breaks the
+# graph, so a one-evaluation prefix falls short and a second batch runs
+JOINED_TRIANGLES = Digraph.from_arrows(6, [(0, 5), (0, 3), (1, 2), (1, 3), (3, 4), (4, 1), (2, 0), (5, 2)])
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
-@settings(max_examples=200, deadline=None)
-@given(g=strong_digraphs())
-@example(g=cycle(6))  # every removal breaks strong connectivity
-def test_moves_match_reference(objective, g):
-    check_moves(g, objective)
+@settings(max_examples=150, deadline=None)
+@given(rnd=rounds())
+@example(rnd=([cycle(6)], [40]))  # every removal and reversal breaks strong connectivity
+@example(rnd=([cycle(6), cycle(6).add_arrow(0, 3)], [7, 3]))
+@example(rnd=([JOINED_TRIANGLES, cycle(6)], [1, 30]))
+def test_moves_match_reference(objective, rnd):
+    check_round(*rnd, objective)
 
 
 @pytest.mark.parametrize("objective, n, extra", [
@@ -74,9 +140,84 @@ def test_moves_match_reference(objective, g):
     *(("domination", n, extra) for n in (9, 12) for extra in (0.05, 0.3)),
 ])
 def test_moves_match_reference_on_random_graphs(objective, n, extra):
-    g = random_strongly_connected(n, random.Random(n), extra)
-    # at two words per row, pricing all 4000-odd neighbours would take seconds
-    check_moves(g, objective, sample=60 if n > 64 else None)
+    rng = random.Random(n)
+    graphs = [random_strongly_connected(n, rng, extra), random_strongly_connected(n, rng, extra)]
+    if n > 64:  # at two words per row, valuing all 4000-odd neighbours would take seconds
+        check_round(graphs, [10 ** 6, 50], objective, sample=60)
+    else:
+        check_round(graphs, [10 ** 6, 3 * n], objective)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=st.integers(2, 9).flatmap(strong_digraphs))
+@example(g=cycle(6))
+def test_closure_keys(g):
+    # each neighbour's closure is Ḡ with its key's pair toggled, and two
+    # neighbours share a key exactly when they share a closure
+    adj = stack([g])
+    climb, kind, u, v, _, key = _neighbours(adj)
+    closures = _closures(_words(adj | adj.transpose(0, 2, 1)), key)
+    assert closures.shape[2] == 1
+    by_key = {}
+    for *move, k, rows in zip(kind.tolist(), u.tolist(), v.tolist(), key.tolist(), closures[:, :, 0].tolist()):
+        assert tuple(rows) == moved(g, *move).symmetric_closure().rows
+        by_key[k] = tuple(rows)
+    assert len(set(by_key.values())) == len(by_key)
+
+
+def test_round_is_one_kernel_batch(monkeypatch):
+    # when every climb's prefix suffices, a round makes one bfs_arrays call
+    # and no closure_array call, and prices each climb's distinct closures
+    # once: Ḡ plus one row per toggled pair
+    calls, closure_calls = [], []
+    search_bfs = search.bfs_arrays
+    monkeypatch.setattr(search, "bfs_arrays", lambda rows: calls.append(rows.copy()) or search_bfs(rows))
+    for module in (digraph, invariants):
+        f = module.closure_array
+        monkeypatch.setattr(module, "closure_array", lambda rows, f=f: closure_calls.append(1) or f(rows))
+    rng = random.Random(7)
+    graphs = [random_strongly_connected(10, rng, extra) for extra in (0.05, 0.2, 0.5)]
+    adj = stack(graphs)
+    climb, kind, u, v, _, key = _neighbours(adj)
+    _evaluated(adj, np.array([10 ** 6] * 3), "transmission")
+    assert len(calls) == 1 and closure_calls == []
+    batch = calls[0][:, :, 0].tolist()
+    graph_rows, closure_rows = batch[:len(climb)], batch[len(climb):]
+    expected = []
+    for c, g in enumerate(graphs):
+        moves = list(zip(*(x[climb == c].tolist() for x in (kind, u, v))))
+        hs = [moved(g, *m) for m in moves]
+        assert [list(h.rows) for h in hs] == [r for r, k in zip(graph_rows, climb) if k == c]
+        distinct = {h.symmetric_closure().rows for h in hs}
+        toggled = {frozenset((a, b)) for (_, a, b), h in zip(moves, hs)
+                   if h.symmetric_closure() != g.symmetric_closure()}
+        assert len(distinct) == 1 + len(toggled)
+        expected += distinct
+    assert sorted(map(tuple, closure_rows)) == sorted(expected)
+
+
+def test_round_is_built_one_kernel_slice_at_a_time(monkeypatch):
+    # a round larger than a kernel slice goes through the kernel in
+    # slices, each built on its own, the same number of slices as one call
+    calls = []
+    search_bfs = search.bfs_arrays
+    monkeypatch.setattr(search, "bfs_arrays", lambda rows: calls.append(len(rows)) or search_bfs(rows))
+    rng = random.Random(30)
+    adj = stack([random_strongly_connected(30, rng, extra) for extra in (0.05, 0.3)])
+    _evaluated(adj, np.array([10 ** 6] * 2), "transmission")
+    step = digraph.slice_shape(30)[2]
+    assert len(calls) > 1 and max(calls) == step
+    assert len(calls) == -(-sum(calls) // step)
+
+
+def test_short_prefix_gets_a_second_batch(monkeypatch):
+    graphs, remaining = [JOINED_TRIANGLES, cycle(6)], [1, 30]
+    check_round(graphs, remaining, "sigma")
+    calls = []
+    search_bfs = search.bfs_arrays
+    monkeypatch.setattr(search, "bfs_arrays", lambda rows: calls.append(len(rows)) or search_bfs(rows))
+    _evaluated(stack(graphs), np.array(remaining), "transmission")
+    assert len(calls) == 2
 
 
 # (start, start value, end value, evals) of the eleven family starts at n = 12

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,8 @@ from symprice.search import (
     verify_theorems,
     worker_count,
 )
+
+from test_climber import GOLDEN
 
 
 def labelled_classes(graphs, strongly_connected):
@@ -274,12 +277,16 @@ def test_hill_climb_starts_at_most_one_process_per_core(monkeypatch):
     monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
     monkeypatch.setenv("SYMPRICE_THREADS", "1")
-    serial = hill_climb(7, "diameter", 3000, 0)
+    serial = {args: replace(hill_climb(*args), elapsed=0) for args in GOLDEN}
     assert pools == []
-    monkeypatch.setenv("SYMPRICE_THREADS", "1000000")
-    pooled = hill_climb(7, "diameter", 3000, 0)
-    assert pools == [3]  # six starts, three cores
-    assert (pooled.best_value, pooled.restarts) == (serial.best_value, serial.restarts)
+    # the starts are dealt round-robin into groups, one process each, and
+    # the dealing changes nothing in the outcome
+    for threads, groups in (("2", 2), ("3", 3), ("1000000", 3)):
+        monkeypatch.setenv("SYMPRICE_THREADS", threads)
+        for args in GOLDEN:
+            pools.clear()
+            assert replace(hill_climb(*args), elapsed=0) == serial[args]
+            assert pools == [groups]  # at least six starts, three cores
 
 
 @pytest.mark.slow
