@@ -67,8 +67,11 @@ that are not strongly connected; domination prices the evaluated graphs and thei
 one ``_domination_array`` scan.  The starts of all climbs are priced
 together by ``invariants.price_arrays`` before any climb is dispatched.
 The climbs are dealt round-robin into ``min(worker_count(), cores,
-climbs)`` groups, one process per group, or in this process when there
-is one group.
+climbs)`` groups, but no more than one per ``_GROUP_MOVES`` moves a
+round (climbs times ``min(cap, n * n)``): a smaller round is bound by
+the kernel's cost per numpy call, so a second process only adds a fork.
+Each group runs in its own process, or in this process when there is
+one group.
 """
 from __future__ import annotations
 
@@ -95,6 +98,11 @@ TOURNAMENT_ORDER_CAP = 7
 _CHUNK_BITS = 22  # codes per scan chunk, as a power of two (32 MB of int64)
 _STAGE1_PERMS = 48  # permutations in the per-chunk pre-filter, and in each later block
 _DECODE_CHUNK = 1 << 15  # codes decoded per slice, to bound the rows and graphs held at once
+# moves a climb group's round must hold before a second group, and process,
+# pays: below it the kernel's cost per numpy call, not the data, sets a
+# round's time.  On two cores, 15 climbs at n = 12 (2160 moves a round)
+# ran faster in one process and 23 at n = 20 (9200) faster in two.
+_GROUP_MOVES = 4096
 
 
 class _CodeSpace:
@@ -653,8 +661,10 @@ def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int 
     value_g, value_sym = price_arrays(words, invariant)
     start_values = np.abs(value_g - value_sym).tolist()
     adj = _adjacency(words)
-    # starts dealt round-robin: group k climbs starts k, k + groups, ...
-    groups = min(worker_count(), os.cpu_count() or 1, len(starts))
+    # starts dealt round-robin: group k climbs starts k, k + groups, ...;
+    # a climb searches about min(cap, n * n) moves a round
+    groups = min(worker_count(), os.cpu_count() or 1, len(starts),
+                 max(1, len(starts) * min(cap, n * n) // _GROUP_MOVES))
     jobs = [(adj[k::groups], start_values[k::groups], invariant, cap) for k in range(groups)]
     if groups > 1:
         with ProcessPoolExecutor(max_workers=groups) as ex:

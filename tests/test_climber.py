@@ -34,12 +34,13 @@ def strong_digraphs(draw, n):
 
 
 @st.composite
-def rounds(draw, max_n=8, max_climbs=4):
+def rounds(draw, max_n=9, max_climbs=4):
     """1..max_climbs strong digraphs of one order, each with a cap of
-    remaining evaluations, often one that ends mid-neighbourhood."""
+    remaining evaluations: often one that ends mid-neighbourhood, often
+    one above the at most 2n(n - 1) moves, so the whole neighbourhood."""
     n = draw(st.integers(2, max_n))
     graphs = draw(st.lists(strong_digraphs(n), min_size=1, max_size=max_climbs))
-    remaining = draw(st.lists(st.integers(1, n * n + n), min_size=len(graphs), max_size=len(graphs)))
+    remaining = draw(st.lists(st.integers(1, 4 * n * n), min_size=len(graphs), max_size=len(graphs)))
     return graphs, remaining
 
 
@@ -122,12 +123,15 @@ def check_round(graphs, remaining, objective, sample=None):
 # neither end of either has degree one, yet removing either breaks the
 # graph, so a one-evaluation prefix falls short and a second batch runs
 JOINED_TRIANGLES = Digraph.from_arrows(6, [(0, 5), (0, 3), (1, 2), (1, 3), (3, 4), (4, 1), (2, 0), (5, 2)])
+NINE = random_strongly_connected(9, random.Random(9), 0.3)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(rnd=rounds())
 @example(rnd=([cycle(6)], [40]))  # every removal and reversal breaks strong connectivity
+# whole neighbourhoods at n = 9, the first order whose kernel rows span two blocks
+@example(rnd=([NINE, cycle(9), NINE.add_arrow(0, 4)], [10 ** 6] * 3))
 @example(rnd=([cycle(6), cycle(6).add_arrow(0, 3)], [7, 3]))
 @example(rnd=([JOINED_TRIANGLES, cycle(6)], [1, 30]))
 def test_moves_match_reference(objective, rnd):

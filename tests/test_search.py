@@ -276,7 +276,16 @@ def test_hill_climb_starts_at_most_one_process_per_core(monkeypatch):
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("SYMPRICE_THREADS", "1000000")
+    # a search too small to split runs in this process: 15 climbs of
+    # 144 moves a round at n = 12, 23 of 400 at n = 20
+    for args, groups in (((12, "sigma", 20000, 1), []), ((20, "sigma", 20000, 1), [2])):
+        pools.clear()
+        hill_climb(*args)
+        assert pools == groups
+    monkeypatch.setattr(search, "_GROUP_MOVES", 1)  # no search too small
     monkeypatch.setenv("SYMPRICE_THREADS", "1")
+    pools.clear()
     serial = {args: replace(hill_climb(*args), elapsed=0) for args in GOLDEN}
     assert pools == []
     # the starts are dealt round-robin into groups, one process each, and
