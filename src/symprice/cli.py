@@ -136,7 +136,7 @@ def cmd_kstar(args) -> int:
     r = families.k_star(args.n)
     if args.json:
         _emit_json(args, {
-            "n": r.n, "r": r.r, "r_even": r.r_even, "r_odd": r.r_odd,
+            "n": r.n, "r": r.r,
             "candidates": list(r.candidates), "k_star": r.k_star,
             "pos_at_candidates": {str(k): v for k, v in r.pos_at_candidates.items()},
         })

@@ -13,12 +13,16 @@ the search stops at the first level without a frontier.  The n vertices
 fall into ceil(n / 8) blocks of balanced width ceil(n / blocks), so
 n = 12 takes two blocks of 6 (tables of 64 entries, not 256) and n = 20
 three of 7; from n = 50 on the width is 8, so no block straddles a word.
+``bfs_built`` is the one place graphs enter the kernel: a stream of
+graphs that a builder makes one kernel slice at a time, such as a batch
+of graphs followed by their closures, searched slice by slice and
+joined; ``bfs_arrays`` is the stream of an array's own slices.
 ``bfs_levels`` is the scalar frontier loop for single graphs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -138,19 +142,23 @@ def slice_shape(n: int) -> tuple[int, int, int]:
     return blocks, width, max(1, TABLE_ENTRIES // (blocks * -(-n // 64) << width))
 
 
-def bfs_slices(rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The batched kernel of ``bfs_arrays``, one slice of graphs at a
-    time: yields its three arrays for consecutive slices of ``rows``, so
-    a caller that stops early leaves the later slices unsearched.  No
-    table outlives its slice, so a reader may run the kernel on other
-    graphs between slices without the memory of two."""
-    if rows.ndim == 2:
-        rows = rows[:, :, None]
-    count, n, _ = rows.shape
+def bfs_built(count: int, n: int,
+              build: Callable[[int, int], np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel of ``bfs_arrays`` over a stream of ``count`` graphs of
+    order n that ``build(lo, hi)`` makes a slice at a time: it returns
+    the (hi - lo, n, W) array, or (hi - lo, n) for n < 64, of graphs lo
+    to hi - 1 of the stream, for consecutive slices of as many graphs
+    as ``slice_shape`` allows.  Returns the three joined arrays of
+    ``bfs_arrays``.  No slice or table outlives its search, so a stream
+    built on the fly never holds more than one slice of its graphs."""
     blocks, width, step = slice_shape(n)
     source, full = pack_rows([tuple(1 << i for i in range(n)), ((1 << n) - 1,) * n], n)
+    parts = []
     for lo in range(0, count, step) or (0,):  # no graphs: one empty slice
-        yield _search_slice(rows[lo:lo + step], width, blocks, source, full)
+        rows = build(lo, min(lo + step, count))
+        parts.append(_search_slice(rows if rows.ndim == 3 else rows[:, :, None], width, blocks,
+                                   source, full))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def bfs_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,13 +174,12 @@ def bfs_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     one gather per block; the search stops once no source has a
     frontier left.  There are ceil(n / 8) blocks of w = ceil(n / blocks)
     vertices, w = 8 from n = 50 on.  Graphs go through in slices of at
-    most ``TABLE_ENTRIES`` table words (``bfs_slices``).  Returns, per
+    most ``TABLE_ENTRIES`` table words (``bfs_built``).  Returns, per
     graph, the sum of the distances reached, the largest depth reached
     (the diameter of a strongly connected graph) and whether every source
     reached every vertex.
     """
-    total, depth_max, reached = map(np.concatenate, zip(*bfs_slices(rows)))
-    return total, depth_max, reached
+    return bfs_built(len(rows), rows.shape[1], lambda lo, hi: rows[lo:hi])
 
 
 def closure_array(rows: np.ndarray) -> np.ndarray:

@@ -161,20 +161,10 @@ def r_value(n: int) -> float:
     return n * (SQRT2 - 1.0) + 8.0 - 11.0 * SQRT2 / 2.0
 
 
-def r_even(n: int) -> float:
-    return 8.0 - n + math.sqrt(2.0 * n * n - 22.0 * n + 344.0 / 6.0)
-
-
-def r_odd(n: int) -> float:
-    return 8.0 - n + math.sqrt(2.0 * n * n - 22.0 * n + 326.0 / 6.0)
-
-
 @dataclass(frozen=True)
 class KStarResult:
     n: int
     r: float
-    r_even: float
-    r_odd: float
     candidates: tuple[int, ...]
     k_star: int
     pos_at_candidates: dict[int, int]
@@ -185,8 +175,8 @@ def k_star(n: int) -> KStarResult:
     larger exact transmission price, ties towards the smaller k.
 
     r = (2n-11)/sqrt(2) - n + 8 is irrational, so its floor comes from an
-    integer square root and its ceiling is one more.  The floats r,
-    r_even and r_odd are only reported.
+    integer square root and its ceiling is one more.  The float r is
+    only reported.
     """
     if n < 11:
         raise DomainError(f"k* is defined for n >= 11, got {n}")
@@ -199,8 +189,6 @@ def k_star(n: int) -> KStarResult:
     return KStarResult(
         n=n,
         r=r_value(n),
-        r_even=r_even(n),
-        r_odd=r_odd(n),
         candidates=candidates,
         k_star=best,
         pos_at_candidates=pos,

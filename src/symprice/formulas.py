@@ -103,16 +103,6 @@ def pos_cubic(n: int, k, parity: str) -> Fraction:
     return -(k**3) / 12 + Fraction(8 - n, 4) * k**2 + lin * k + const
 
 
-def pos_cubic_derivative(n: int, k, parity: str) -> Fraction:
-    _check_parity(n, k, parity)
-    k = Fraction(k)
-    if parity == "even":
-        lin = Fraction(3 * n * n - 18 * n - 20, 12)
-    else:
-        lin = Fraction(3 * n * n - 18 * n - 29, 12)
-    return -(k**2) / 4 + Fraction(8 - n, 2) * k + lin
-
-
 def best_bag_pos(n: int) -> tuple[int, int]:
     """(k, pos) maximising the exact bag transmission price over all
     admissible k; usable at any n >= 4, ties towards smaller k."""

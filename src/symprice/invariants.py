@@ -3,6 +3,9 @@
 Supported invariants: diameter, domination number, transmission and
 average distance.  Averages and quotients are exact ``Fraction`` values
 so equality cases of the extremal statements stay decidable.
+``price_arrays`` prices a batch of graphs of one order and of their
+closures in int64; for the distance invariants the graphs and then
+their closures are one kernel stream (``digraph.bfs_built``).
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .digraph import Digraph, bfs_arrays, bfs_levels, bfs_slices, closure_array
+from .digraph import Digraph, bfs_built, bfs_levels, closure_array
 from .distances import bfs_row_sum
 from .errors import DomainError, SizeError
 
@@ -133,37 +136,26 @@ def objective_invariant(name: str) -> str:
     return "transmission" if name == "sigma" else name
 
 
-def objective_fn(name: str):
-    """The function a search maximises for the objective ``name``, one
-    graph at a time: the scalar reference of the batched prices."""
-    invariant = objective_invariant(name)
-    if invariant == "transmission":
-        return pos_sigma
-    return lambda g: int(price(g, invariant).pos_minus)
-
-
 def price_arrays(rows: np.ndarray, invariant: str) -> tuple[np.ndarray, np.ndarray]:
     """The ``invariant`` values of every graph of an (N, n) array of row
     masks, or of an (N, n, W) one from ``pack_rows``, and of its
     symmetric closure, as ``price`` gives them one graph at a time, all
     int64.  Distance invariants need strongly connected graphs, as their
-    scalar functions do, and are searched one ``bfs_slices`` slice at a
-    time, each slice's closures right after it, so no more than a slice
-    of closures is held at once; domination takes any graph."""
+    scalar functions do: the N graphs and then their N closures go
+    through the kernel as one ``bfs_built`` stream, each slice's closures
+    built from only the graphs it covers, so no more than a slice of
+    closures is held at once.  Domination takes any graph."""
     if invariant == "domination":
         return _domination_array(rows), _domination_array(closure_array(rows))
     if invariant not in ("transmission", "diameter"):
         raise ValueError(f"no batched {invariant!r}, expected transmission, diameter or domination")
-    parts, lo = [], 0
-    for total, depth_max, strong in bfs_slices(rows):
-        part = rows[lo:lo + len(strong)]
-        lo += len(strong)
-        if not strong.all():
-            raise DomainError(f"graph {part[~strong][0].tolist()} not strongly connected")
-        total_c, depth_max_c, _ = bfs_arrays(closure_array(part))
-        parts.append((total, total_c) if invariant == "transmission" else (depth_max, depth_max_c))
-    value_g, value_sym = map(np.concatenate, zip(*parts))
-    return value_g, value_sym
+    count = len(rows)
+    total, depth_max, reached = bfs_built(2 * count, rows.shape[1], lambda lo, hi: np.concatenate(
+        [rows[lo:hi], closure_array(rows[max(lo - count, 0):max(hi - count, 0)])]))
+    if not reached[:count].all():
+        raise DomainError(f"graph {rows[~reached[:count]][0].tolist()} not strongly connected")
+    values = total if invariant == "transmission" else depth_max
+    return values[:count], values[count:]
 
 
 def price(g: Digraph, invariant: str) -> PriceReport:

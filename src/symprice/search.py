@@ -42,11 +42,12 @@ The exhaustive reports (``verify_conjecture``, ``verify_theorems``,
 ``exhaustive_search``) each read one enumeration into such a row array
 (``_class_rows``) and make one scan step (``_scan``): price every class
 at once with ``invariants.price_arrays`` (batched BFS, domination and
-closure, all int64) and rank the difference prices.  Every graph a
-report names (each maximiser, top entry and counterexample) is priced
-again by the scalar ``price``, and a disagreement raises
-InvariantViolation.  Single graphs keep the scalar path:
-``digraph.bfs_levels`` stays the only scalar frontier loop.
+closure, all int64; the classes and then their closures are one kernel
+stream) and rank the difference prices.  Every graph a report names
+(each maximiser, top entry and counterexample) is priced again by the
+scalar ``price``, and a disagreement raises InvariantViolation.  Single
+graphs keep the scalar path: ``digraph.bfs_levels`` stays the only
+scalar frontier loop.
 
 The hill climber is a deterministic steepest-ascent search with warm
 starts from the known extremal families plus seeded random restarts.
@@ -59,19 +60,21 @@ round's moves of all climbs together.  Each climb adds only the moves
 its cap can still use, and another batch where removals or reversals
 broke too many of them.  A move's closure is Ḡ, or Ḡ with the one pair
 {u, v} toggled (the removal of a one-way arrow, or an addition on an
-empty pair), so it is keyed by that pair and built from Ḡ's rows, and
-each distinct closure is priced once.  For the distance objectives the
-moved graphs and their closures go through the kernel as one batch,
-built one slice at a time, whose reached-all flags drop the neighbours
-that are not strongly connected; domination prices the evaluated graphs and their closures in
-one ``_domination_array`` scan.  The starts of all climbs are priced
-together by ``invariants.price_arrays`` before any climb is dispatched.
-The climbs are dealt round-robin into ``min(worker_count(), cores,
-climbs)`` groups, but no more than one per ``_GROUP_MOVES`` moves a
-round (climbs times ``min(cap, n * n)``): a smaller round is bound by
+empty pair), so it is keyed by that pair and built from the rows of Ḡ
+(``digraph.closure_array``), and each distinct closure is priced once.
+For the distance objectives the moved graphs and their closures go
+through the kernel as one ``digraph.bfs_built`` stream, built one slice
+at a time, whose reached-all flags drop the neighbours that are not
+strongly connected; domination prices the evaluated graphs and their
+closures in one ``_domination_array`` scan.  The starts of all climbs
+are priced together by ``invariants.price_arrays`` before any climb is
+dispatched.  The climbs are dealt round-robin into ``min(worker_count(),
+cores, climbs)`` groups, but no more than one per ``_GROUP_MOVES`` moves
+a round (climbs times ``min(cap, n * n)``): a smaller round is bound by
 the kernel's cost per numpy call, so a second process only adds a fork.
 Each group runs in its own process, or in this process when there is
-one group.
+one group.  Only the climbs that end at the best value get a canonical
+form (``_dedup_key``), to merge isomorphic maximisers.
 """
 from __future__ import annotations
 
@@ -85,8 +88,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .digraph import (ISO_ORDER_CAP, Digraph, bfs_arrays, canonical_form, check_order, pack_rows,
-                      slice_shape)
+from .digraph import (ISO_ORDER_CAP, Digraph, bfs_arrays, bfs_built, canonical_form, check_order,
+                      closure_array, pack_rows)
 from .errors import InvariantViolation, SizeError
 # OBJECTIVES stays importable from here for callers of the search API
 from .invariants import (OBJECTIVES, _domination_array, objective_invariant,  # noqa: F401
@@ -519,15 +522,15 @@ def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
     searches twice as many moves again, until it has ``remaining``
     strong neighbours or no moves left.  For the distance invariants a
     batch is the moved graphs and the closures they need, each distinct
-    closure once, built and searched one kernel slice at a time
-    (``slice_shape``), so that a round of many climbs holds no more rows
-    than a slice.  Domination searches the batches for strong
-    connectivity alone, and prices the evaluated graphs and their
-    closures in one ``_domination_array`` call."""
+    closure once, built from the round's Ḡ (one ``closure_array`` call)
+    and searched as one ``bfs_built`` stream, so that a round of many
+    climbs holds no more rows than a kernel slice.  Domination searches
+    the batches for strong connectivity alone, and prices the evaluated
+    graphs and their closures in one ``_domination_array`` call."""
     count, n = adj.shape[:2]
     climb, kind, u, v, pos, key = _neighbours(adj)
-    words, sym_words = _words(adj), _words(adj | adj.transpose(0, 2, 1))
-    step = slice_shape(n)[2]
+    words = _words(adj)
+    sym_words = closure_array(words)
     strong = np.zeros(len(climb), bool)
     value_g = np.zeros(len(climb), np.int64)
     value_sym = np.zeros(count * (n * n + 1), np.int64)  # by closure key
@@ -549,10 +552,9 @@ def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
     def search(moves: np.ndarray) -> None:
         distance = invariant != "domination"
         keys = unpriced(moves) if distance else key[:0]
-        m = len(moves)  # the graphs, then the closures, a kernel slice at a time
-        slices = [bfs_arrays(batch(moves[lo:lo + step], keys[max(0, lo - m):max(0, lo + step - m)]))
-                  for lo in range(0, max(m + len(keys), 1), step)]
-        total, depth_max, reached = map(np.concatenate, zip(*slices))
+        m = len(moves)  # the graphs, then the closures
+        total, depth_max, reached = bfs_built(m + len(keys), n, lambda lo, hi: batch(
+            moves[lo:hi], keys[max(lo - m, 0):max(hi - m, 0)]))
         strong[moves] = reached[:m]
         if distance:
             values = total if invariant == "transmission" else depth_max
@@ -595,13 +597,13 @@ def _step(adj: np.ndarray, value: np.ndarray, remaining: np.ndarray, invariant: 
             values[top])
 
 
-def _climb_group(job) -> list[tuple[int, bytes, int, tuple[int, ...]]]:
+def _climb_group(job) -> list[tuple[int, int, tuple[int, ...]]]:
     """Steepest-ascent climbs of a group of starts in lockstep: each round
     is one ``_step`` of every climb still live, and a climb ends at a
     local optimum or once it has spent its cap of evaluations.  ``job``
     is (adjacency stack, start values, invariant, cap), each start
-    counting as one evaluation; returns (value, dedup key, evals, rows)
-    per start, rows shipped in place of a Digraph to stay small."""
+    counting as one evaluation; returns (value, evals, rows) per start,
+    rows shipped in place of a Digraph to stay small."""
     adj, value, invariant, cap = job
     adj, value = adj.copy(), np.array(value, np.int64)
     evals = np.ones(len(adj), np.int64)
@@ -615,11 +617,8 @@ def _climb_group(job) -> list[tuple[int, bytes, int, tuple[int, ...]]]:
         adj[better[rev], v[rev], u[rev]] ^= True
         value[better] = best
         live = better[evals[better] < cap]
-    results = []
-    for a, val, ev in zip(adj, value.tolist(), evals.tolist()):
-        rows = tuple(int.from_bytes(r.tobytes(), "little") for r in _words(a))
-        results.append((val, _dedup_key(Digraph(len(a), rows)), ev, rows))
-    return results
+    return [(val, ev, tuple(int.from_bytes(r.tobytes(), "little") for r in _words(a)))
+            for a, val, ev in zip(adj, value.tolist(), evals.tolist())]
 
 
 def _warm_starts(n: int, objective: str) -> list[tuple[str, Digraph]]:
@@ -648,6 +647,7 @@ def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int 
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     invariant = objective_invariant(objective)  # validate early
+    threads = worker_count()
     t0 = time.monotonic()
     rng = random.Random(seed)
     starts = _warm_starts(n, objective)
@@ -663,7 +663,7 @@ def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int 
     adj = _adjacency(words)
     # starts dealt round-robin: group k climbs starts k, k + groups, ...;
     # a climb searches about min(cap, n * n) moves a round
-    groups = min(worker_count(), os.cpu_count() or 1, len(starts),
+    groups = min(threads, os.cpu_count() or 1, len(starts),
                  max(1, len(starts) * min(cap, n * n) // _GROUP_MOVES))
     jobs = [(adj[k::groups], start_values[k::groups], invariant, cap) for k in range(groups)]
     if groups > 1:
@@ -675,12 +675,13 @@ def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int 
     for k, out in enumerate(dealt):
         results[k::groups] = out
 
-    visited = sum(r[2] for r in results)
+    visited = sum(r[1] for r in results)
     best_value = max(r[0] for r in results)
     seen: dict[bytes, Digraph] = {}
-    for value, canon, _, rows in results:
-        if value == best_value and canon not in seen:
-            seen[canon] = Digraph(n, rows)
+    for value, _, rows in results:
+        if value == best_value:  # only these need the canonical form
+            g = Digraph(n, rows)
+            seen.setdefault(_dedup_key(g), g)
     return SearchOutcome(
         n=n,
         objective=objective,
@@ -690,7 +691,7 @@ def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int 
         graphs_visited=visited,
         elapsed=time.monotonic() - t0,
         restarts=tuple(RestartRecord(name, start_value, value, evals)
-                       for (name, _), start_value, (value, _, evals, _)
+                       for (name, _), start_value, (value, evals, _)
                        in zip(starts, start_values, results)),
     )
 

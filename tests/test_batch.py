@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symprice.digraph import Digraph, bfs_arrays, bfs_slices, closure_array, pack_rows
+from symprice.digraph import Digraph, bfs_arrays, closure_array, pack_rows
 from symprice.distances import all_pairs_distances
-from symprice import invariants
+from symprice import digraph, invariants
 from symprice.errors import DomainError
 from symprice.invariants import INVARIANTS, diameter, price_arrays, transmission
 from symprice.search import enumerate_digraphs, enumerate_tournaments, random_strongly_connected
 
-from conftest import digraphs
+from conftest import digraphs, spy_kernel
 
 
 def check_batch(graphs):
@@ -65,7 +65,7 @@ def test_distance_invariants_refuse_graphs_not_strongly_connected():
     rows = np.array([Digraph.from_arrows(3, [(0, 1), (1, 2), (2, 0)]).rows,
                      Digraph.from_arrows(3, [(0, 1), (1, 2)]).rows], dtype=np.int64)
     for name in ("transmission", "diameter"):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"graph \[2, 4, 0\] not strongly connected"):
             price_arrays(rows, name)
     assert price_arrays(rows, "domination")[0].tolist() == [2, 2]
 
@@ -99,7 +99,7 @@ def test_kernel_against_scalar_bfs_at_word_boundaries(n):
                                            [transmission(g.symmetric_closure()) for g in graphs[:3]]]
 
 
-def test_kernel_slices_match_whole():
+def test_kernel_slices_match_whole(monkeypatch):
     # more graphs than one kernel slice: the slices must join seamlessly,
     # also at orders whose blocks are balanced (a slice holds 1024 graphs
     # in two blocks of 6 at n = 12, 341 in three of 7 at n = 20) and at a
@@ -108,10 +108,12 @@ def test_kernel_slices_match_whole():
     small = np.array([g.rows for g in enumerate_digraphs(5, strongly_connected=False)], dtype=np.int64)
     balanced = [pack_rows([g.rows for g in wide_graphs(n)], n) for n in (12, 20)]
     wide = pack_rows([g.rows for g in wide_graphs(100)], 100)
+    slices = spy_kernel(monkeypatch)
     for batch, copies in ((small, 4), (balanced[0], 200), (balanced[1], 60), (wide, 10)):
         rows = np.concatenate([batch] * copies)
-        assert len(list(bfs_slices(rows))) > 1
+        slices.clear()
         total, depth, reached = bfs_arrays(rows)
+        assert len(slices) > 1 and np.concatenate(slices).reshape(rows.shape).tolist() == rows.tolist()
         k = len(batch)
         for part in (total, depth, reached):
             assert all((part[i * k:(i + 1) * k] == part[:k]).all() for i in range(copies))
@@ -119,16 +121,35 @@ def test_kernel_slices_match_whole():
 
 
 def test_price_arrays_holds_one_slice_of_closures(monkeypatch):
-    # the distance prices take the closures a kernel slice at a time, so
-    # an n = 6 scan holds one slice of them, not all 1,540,944
+    # the distance prices build the closures a kernel slice at a time, so
+    # an n = 6 scan holds one slice of them, not all 1,540,944: the slice
+    # [lo, lo + step) of the stream of N graphs, then their N closures,
+    # builds the closures of graphs lo - N to lo + step - N that exist
     sizes = []
     closure = invariants.closure_array
     monkeypatch.setattr(invariants, "closure_array", lambda rows: sizes.append(len(rows)) or closure(rows))
-    rows = pack_rows([g.rows for g in wide_graphs(12)[:3]] * 1000, 12)
-    step = len(next(bfs_slices(rows))[0])
+    graphs = wide_graphs(12)[:3]
+    rows = pack_rows([g.rows for g in graphs] * 1000, 12)
+    count, step = len(rows), digraph.slice_shape(12)[2]
     value_g, value_sym = price_arrays(rows, "transmission")
-    assert sizes == [step] * (len(rows) // step) + [len(rows) % step] * (len(rows) % step > 0)
-    assert value_sym.tolist() == [transmission(g.symmetric_closure()) for g in wide_graphs(12)[:3]] * 1000
+    expected = [max(0, min(lo + step, 2 * count) - max(lo, count)) for lo in range(0, 2 * count, step)]
+    assert sizes == expected == [0, 0, 72, 1024, 1024, 880]
+    assert value_g.tolist() == [transmission(g) for g in graphs] * 1000
+    assert value_sym.tolist() == [transmission(g.symmetric_closure()) for g in graphs] * 1000
+
+
+@pytest.mark.parametrize("n, copies, one_word", [(5, 1500, True), (65, 10, False)])
+def test_price_arrays_is_one_stream_graphs_first(monkeypatch, n, copies, one_word):
+    # the N graphs and then their N closures go through the kernel as one
+    # stream of ceil(2N / step) slices, on (N, n) and (N, n, W) input; at
+    # these sizes a slice holds graphs and closures both
+    packed = pack_rows([g.rows for g in wide_graphs(n)[:3]] * copies, n)
+    rows = packed[:, :, 0] if one_word else packed
+    slices = spy_kernel(monkeypatch)
+    price_arrays(rows, "diameter")
+    step = digraph.slice_shape(n)[2]
+    assert len(slices) == -(-2 * len(rows) // step) > 2
+    assert np.concatenate(slices).tolist() == np.concatenate([packed, closure_array(packed)]).tolist()
 
 
 def test_pack_rows_splits_rows_into_words():

@@ -4,9 +4,9 @@ A round (``search._step``) prices one step of several climbs at once:
 ``_evaluated`` stacks every climb's single-arrow neighbours and the
 distinct closures they need into one kernel batch.  The reference it
 must match, climb by climb, is ``neighbors`` below walked with the
-scalar ``objective_fn``: removals that keep the graph strongly
-connected, then additions, then reversals, stopping after ``remaining``
-evaluations and taking the first strictly best.  The golden outcomes
+scalar ``objective_fn`` of conftest: removals that keep the graph
+strongly connected, then additions, then reversals, stopping after
+``remaining`` evaluations and taking the first strictly best.  The golden outcomes
 were recorded from earlier climbers and must not move.
 """
 import random
@@ -17,11 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symprice import digraph, invariants, search
-from symprice.digraph import Digraph, pack_rows
+from symprice.digraph import Digraph, closure_array, pack_rows
 from symprice.families import cycle
-from symprice.invariants import OBJECTIVES, objective_fn, objective_invariant
+from symprice.invariants import OBJECTIVES, objective_invariant
 from symprice.search import (_adjacency, _closures, _evaluated, _neighbours, _step, _words,
                              hill_climb, random_strongly_connected)
+
+from conftest import objective_fn, spy_kernel
 
 
 @st.composite
@@ -160,7 +162,7 @@ def test_closure_keys(g):
     # neighbours share a key exactly when they share a closure
     adj = stack([g])
     climb, kind, u, v, _, key = _neighbours(adj)
-    closures = _closures(_words(adj | adj.transpose(0, 2, 1)), key)
+    closures = _closures(closure_array(_words(adj)), key)
     assert closures.shape[2] == 1
     by_key = {}
     for *move, k, rows in zip(kind.tolist(), u.tolist(), v.tolist(), key.tolist(), closures[:, :, 0].tolist()):
@@ -170,21 +172,20 @@ def test_closure_keys(g):
 
 
 def test_round_is_one_kernel_batch(monkeypatch):
-    # when every climb's prefix suffices, a round makes one bfs_arrays call
-    # and no closure_array call, and prices each climb's distinct closures
-    # once: Ḡ plus one row per toggled pair
-    calls, closure_calls = [], []
-    search_bfs = search.bfs_arrays
-    monkeypatch.setattr(search, "bfs_arrays", lambda rows: calls.append(rows.copy()) or search_bfs(rows))
-    for module in (digraph, invariants):
+    # when every climb's prefix suffices, a round is one kernel slice, takes
+    # the round's Ḡ from one closure_array call on its C graphs, and prices
+    # each climb's distinct closures once: Ḡ plus one row per toggled pair
+    calls, closure_calls = spy_kernel(monkeypatch), []
+    for module in (digraph, invariants, search):
         f = module.closure_array
-        monkeypatch.setattr(module, "closure_array", lambda rows, f=f: closure_calls.append(1) or f(rows))
+        monkeypatch.setattr(module, "closure_array", lambda rows, f=f: closure_calls.append(rows.copy()) or f(rows))
     rng = random.Random(7)
     graphs = [random_strongly_connected(10, rng, extra) for extra in (0.05, 0.2, 0.5)]
     adj = stack(graphs)
     climb, kind, u, v, _, key = _neighbours(adj)
     _evaluated(adj, np.array([10 ** 6] * 3), "transmission")
-    assert len(calls) == 1 and closure_calls == []
+    assert len(calls) == 1 and len(closure_calls) == 1
+    assert closure_calls[0].tolist() == pack_rows([g.rows for g in graphs], 10).tolist()
     batch = calls[0][:, :, 0].tolist()
     graph_rows, closure_rows = batch[:len(climb)], batch[len(climb):]
     expected = []
@@ -202,24 +203,20 @@ def test_round_is_one_kernel_batch(monkeypatch):
 
 def test_round_is_built_one_kernel_slice_at_a_time(monkeypatch):
     # a round larger than a kernel slice goes through the kernel in
-    # slices, each built on its own, the same number of slices as one call
-    calls = []
-    search_bfs = search.bfs_arrays
-    monkeypatch.setattr(search, "bfs_arrays", lambda rows: calls.append(len(rows)) or search_bfs(rows))
+    # slices, each built on its own: full slices, then the rest
+    slices = spy_kernel(monkeypatch)
     rng = random.Random(30)
     adj = stack([random_strongly_connected(30, rng, extra) for extra in (0.05, 0.3)])
     _evaluated(adj, np.array([10 ** 6] * 2), "transmission")
+    calls = [len(rows) for rows in slices]
     step = digraph.slice_shape(30)[2]
-    assert len(calls) > 1 and max(calls) == step
-    assert len(calls) == -(-sum(calls) // step)
+    assert len(calls) > 1 and calls[:-1] == [step] * (len(calls) - 1) and 0 < calls[-1] <= step
 
 
 def test_short_prefix_gets_a_second_batch(monkeypatch):
     graphs, remaining = [JOINED_TRIANGLES, cycle(6)], [1, 30]
     check_round(graphs, remaining, "sigma")
-    calls = []
-    search_bfs = search.bfs_arrays
-    monkeypatch.setattr(search, "bfs_arrays", lambda rows: calls.append(len(rows)) or search_bfs(rows))
+    calls = spy_kernel(monkeypatch)
     _evaluated(stack(graphs), np.array(remaining), "transmission")
     assert len(calls) == 2
 

@@ -53,16 +53,6 @@ def test_pos_cubic_parity_consistency():
     formulas.pos_cubic(12, Fraction(7, 2), "even")
 
 
-def test_pos_cubic_derivative_is_derivative():
-    h = Fraction(1, 1000)
-    for n, k in ((14, 5), (15, 6)):
-        parity = "even" if (n - k) % 2 == 0 else "odd"
-        approx = (formulas.pos_cubic(n, Fraction(k) + h, parity)
-                  - formulas.pos_cubic(n, Fraction(k) - h, parity)) / (2 * h)
-        exact = formulas.pos_cubic_derivative(n, k, parity)
-        assert abs(approx - exact) < Fraction(1, 100)
-
-
 def test_best_bag_pos_agrees_with_k_star():
     for n in range(11, 30):
         k, pos = formulas.best_bag_pos(n)

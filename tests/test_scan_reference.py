@@ -14,7 +14,7 @@ import pytest
 from symprice import families, search
 from symprice.cli import main
 from symprice.digraph import Digraph, canonical_form
-from symprice.invariants import OBJECTIVES, objective_fn, pos_sigma, price
+from symprice.invariants import OBJECTIVES, pos_sigma, price
 from symprice.search import (
     ConjectureReport,
     TheoremReport,
@@ -22,6 +22,8 @@ from symprice.search import (
     verify_conjecture,
     verify_theorems,
 )
+
+from conftest import objective_fn
 
 
 def classes(n, strongly_connected):

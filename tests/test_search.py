@@ -245,6 +245,19 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() >= 1
 
 
+def test_hill_climb_checks_threads_before_any_work(monkeypatch):
+    # a bad SYMPRICE_THREADS is refused with the other arguments, before
+    # the starts are built or priced
+    calls = []
+    for name in ("_warm_starts", "price_arrays"):
+        monkeypatch.setattr(search, name, lambda *a, name=name: calls.append(name))
+    for bad in ("abc", "0"):
+        monkeypatch.setenv("SYMPRICE_THREADS", bad)
+        with pytest.raises(ValueError, match="SYMPRICE_THREADS"):
+            hill_climb(150, "sigma", 2000000, 1)
+    assert calls == []
+
+
 def test_hill_climb_prices_its_starts_as_one_batch(monkeypatch):
     # the starts go through price_arrays with the steps: no scalar price
     monkeypatch.setenv("SYMPRICE_THREADS", "1")
