@@ -14,14 +14,15 @@ fall into ceil(n / 8) blocks of balanced width ceil(n / blocks), so
 n = 12 takes two blocks of 6 (tables of 64 entries, not 256) and n = 20
 three of 7; from n = 50 on the width is 8, so no block straddles a word.
 ``bfs_built`` is the one place graphs enter the kernel: a stream of
-graphs that a builder makes one kernel slice at a time, such as a batch
-of graphs followed by their closures, searched slice by slice and
-joined; ``bfs_arrays`` is the stream of an array's own slices.
+parts, such as a batch of graphs and then their closures, each slice
+built from the parts it covers, searched and joined; ``bfs_arrays`` is
+the stream of one part, an array's own rows.
 ``bfs_levels`` is the scalar frontier loop for single graphs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -142,23 +143,27 @@ def slice_shape(n: int) -> tuple[int, int, int]:
     return blocks, width, max(1, TABLE_ENTRIES // (blocks * -(-n // 64) << width))
 
 
-def bfs_built(count: int, n: int,
-              build: Callable[[int, int], np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel of ``bfs_arrays`` over a stream of ``count`` graphs of
-    order n that ``build(lo, hi)`` makes a slice at a time: it returns
-    the (hi - lo, n, W) array, or (hi - lo, n) for n < 64, of graphs lo
-    to hi - 1 of the stream, for consecutive slices of as many graphs
-    as ``slice_shape`` allows.  Returns the three joined arrays of
+def bfs_built(n: int, *parts: tuple[int, Callable[[int, int], np.ndarray]]
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel of ``bfs_arrays`` over a stream of graphs of order n
+    made of ``parts`` in turn, each a pair (count, build): ``build(lo,
+    hi)`` returns the (hi - lo, n, W) array, or (hi - lo, n) for n < 64,
+    of the part's graphs lo to hi - 1.  Each slice of as many graphs as
+    ``slice_shape`` allows is built from every part, with an empty range
+    where it does not reach one.  Returns the three joined arrays of
     ``bfs_arrays``.  No slice or table outlives its search, so a stream
     built on the fly never holds more than one slice of its graphs."""
     blocks, width, step = slice_shape(n)
     source, full = pack_rows([tuple(1 << i for i in range(n)), ((1 << n) - 1,) * n], n)
-    parts = []
-    for lo in range(0, count, step) or (0,):  # no graphs: one empty slice
-        rows = build(lo, min(lo + step, count))
-        parts.append(_search_slice(rows if rows.ndim == 3 else rows[:, :, None], width, blocks,
-                                   source, full))
-    return tuple(map(np.concatenate, zip(*parts)))
+    starts = list(accumulate((count for count, _ in parts), initial=0))
+    out = []
+    for lo in range(0, starts[-1], step) or (0,):  # no graphs: one empty slice
+        hi = min(lo + step, starts[-1])
+        pieces = [build(min(max(lo - start, 0), count), min(max(hi - start, 0), count))
+                  for start, (count, build) in zip(starts, parts)]
+        rows = np.concatenate([p if p.ndim == 3 else p[:, :, None] for p in pieces])
+        out.append(_search_slice(rows, width, blocks, source, full))
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 def bfs_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,7 +184,7 @@ def bfs_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (the diameter of a strongly connected graph) and whether every source
     reached every vertex.
     """
-    return bfs_built(len(rows), rows.shape[1], lambda lo, hi: rows[lo:hi])
+    return bfs_built(rows.shape[1], (len(rows), lambda lo, hi: rows[lo:hi]))
 
 
 def closure_array(rows: np.ndarray) -> np.ndarray:

@@ -23,6 +23,12 @@ from .errors import DomainError, SizeError
 DOMINATION_ORDER_CAP = 20
 
 
+def check_domination_order(n: int) -> None:
+    """Refuse an order above ``DOMINATION_ORDER_CAP`` for a domination number."""
+    if n > DOMINATION_ORDER_CAP:
+        raise SizeError(f"domination number capped at n={DOMINATION_ORDER_CAP}, got {n}")
+
+
 def _eccentricity(g: Digraph, s: int) -> int:
     full = (1 << g.n) - 1
     seen = 0
@@ -55,8 +61,7 @@ def domination_number(g: Digraph) -> int:
     dominating set cover themselves.  Exhaustive search by increasing
     cardinality, so orders above ``DOMINATION_ORDER_CAP`` raise SizeError.
     """
-    if g.n > DOMINATION_ORDER_CAP:
-        raise SizeError(f"domination number capped at n={DOMINATION_ORDER_CAP}, got {g.n}")
+    check_domination_order(g.n)
     full = (1 << g.n) - 1
     cover = [1 << v | g.rows[v] for v in range(g.n)]
     for k in range(1, g.n + 1):
@@ -74,8 +79,7 @@ def _domination_array(rows: np.ndarray) -> np.ndarray:
     an (N, n, 1) one from ``pack_rows``: subsets by increasing size, and
     the first size at which some subset's covers OR to the full mask."""
     n = rows.shape[1]
-    if n > DOMINATION_ORDER_CAP:
-        raise SizeError(f"domination number capped at n={DOMINATION_ORDER_CAP}, got {n}")
+    check_domination_order(n)
     if rows.ndim == 3:  # from pack_rows, with one word per row
         rows = rows[:, :, 0]
     full = (1 << n) - 1
@@ -141,17 +145,17 @@ def price_arrays(rows: np.ndarray, invariant: str) -> tuple[np.ndarray, np.ndarr
     masks, or of an (N, n, W) one from ``pack_rows``, and of its
     symmetric closure, as ``price`` gives them one graph at a time, all
     int64.  Distance invariants need strongly connected graphs, as their
-    scalar functions do: the N graphs and then their N closures go
-    through the kernel as one ``bfs_built`` stream, each slice's closures
-    built from only the graphs it covers, so no more than a slice of
-    closures is held at once.  Domination takes any graph."""
+    scalar functions do: the N graphs and then their N closures are the
+    two parts of one ``bfs_built`` stream, each slice's closures built
+    from only the graphs it covers, so no more than a slice of closures
+    is held at once.  Domination takes any graph."""
     if invariant == "domination":
         return _domination_array(rows), _domination_array(closure_array(rows))
     if invariant not in ("transmission", "diameter"):
         raise ValueError(f"no batched {invariant!r}, expected transmission, diameter or domination")
     count = len(rows)
-    total, depth_max, reached = bfs_built(2 * count, rows.shape[1], lambda lo, hi: np.concatenate(
-        [rows[lo:hi], closure_array(rows[max(lo - count, 0):max(hi - count, 0)])]))
+    total, depth_max, reached = bfs_built(rows.shape[1], (count, lambda lo, hi: rows[lo:hi]),
+                                          (count, lambda lo, hi: closure_array(rows[lo:hi])))
     if not reached[:count].all():
         raise DomainError(f"graph {rows[~reached[:count]][0].tolist()} not strongly connected")
     values = total if invariant == "transmission" else depth_max

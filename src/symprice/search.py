@@ -50,31 +50,34 @@ graphs keep the scalar path: ``digraph.bfs_levels`` stays the only
 scalar frontier loop.
 
 The hill climber is a deterministic steepest-ascent search with warm
-starts from the known extremal families plus seeded random restarts.
-A step scores the single-arrow moves (removal, addition, reversal) that
+starts from the known extremal families plus seeded random restarts.  A
+step scores the single-arrow moves (removal, addition, reversal) that
 keep the graph strongly connected, in that order, and takes the first
 strictly best one; a climb ends at a local optimum or at its cap of
 evaluations.  The climbs run in lockstep (``_climb_group``): each round
 is one ``_step`` of every live climb, and ``_evaluated`` prices the
-round's moves of all climbs together.  Each climb adds only the moves
-its cap can still use, and another batch where removals or reversals
-broke too many of them.  A move's closure is Ḡ, or Ḡ with the one pair
+round's moves of all climbs as one batch.  Each climb searches one exact
+prefix of its moves: as many as its cap can still use plus one per
+removal that could break it, at most 2n - 2 (the most strong bridges a
+strong graph has), or its whole neighbourhood where that prefix would
+reach its reversals.  A move's closure is Ḡ, or Ḡ with the one pair
 {u, v} toggled (the removal of a one-way arrow, or an addition on an
 empty pair), so it is keyed by that pair and built from the rows of Ḡ
 (``digraph.closure_array``), and each distinct closure is priced once.
-For the distance objectives the moved graphs and their closures go
-through the kernel as one ``digraph.bfs_built`` stream, built one slice
-at a time, whose reached-all flags drop the neighbours that are not
-strongly connected; domination prices the evaluated graphs and their
-closures in one ``_domination_array`` scan.  The starts of all climbs
-are priced together by ``invariants.price_arrays`` before any climb is
-dispatched.  The climbs are dealt round-robin into ``min(worker_count(),
-cores, climbs)`` groups, but no more than one per ``_GROUP_MOVES`` moves
-a round (climbs times ``min(cap, n * n)``): a smaller round is bound by
-the kernel's cost per numpy call, so a second process only adds a fork.
-Each group runs in its own process, or in this process when there is
-one group.  Only the climbs that end at the best value get a canonical
-form (``_dedup_key``), to merge isomorphic maximisers.
+The searched moves and, for the distance objectives, their closures go
+through the kernel as one ``digraph.bfs_built`` stream of two parts,
+built one slice at a time, whose reached-all flags drop the neighbours
+that are not strongly connected; domination prices the evaluated graphs
+and their closures in one ``_domination_array`` scan.  The starts of all
+climbs are priced together by ``invariants.price_arrays`` before any
+climb is dispatched.  The climbs are dealt round-robin into
+``min(worker_count(), cores, climbs)`` groups, but no more than one per
+``_GROUP_MOVES`` moves a round (climbs times ``min(cap, n * n)``): a
+smaller round is bound by the kernel's cost per numpy call, so a second
+process only adds a fork.  Each group runs in its own process, or in
+this process when there is one group.  Only the climbs that end at the
+best value get a canonical form (``_dedup_key``), to merge isomorphic
+maximisers.
 """
 from __future__ import annotations
 
@@ -92,8 +95,8 @@ from .digraph import (ISO_ORDER_CAP, Digraph, bfs_arrays, bfs_built, canonical_f
                       closure_array, pack_rows)
 from .errors import InvariantViolation, SizeError
 # OBJECTIVES stays importable from here for callers of the search API
-from .invariants import (OBJECTIVES, _domination_array, objective_invariant,  # noqa: F401
-                         price, price_arrays)
+from .invariants import (OBJECTIVES, _domination_array, check_domination_order,  # noqa: F401
+                         objective_invariant, price, price_arrays)
 from . import families
 
 DIGRAPH_ORDER_CAP = 6
@@ -430,12 +433,14 @@ def random_strongly_connected(n: int, rng: random.Random, extra: float = 0.3) ->
     construction."""
     order = list(range(n))
     rng.shuffle(order)
-    g = Digraph.from_arrows(n, [(order[i], order[(i + 1) % n]) for i in range(n)])
+    rows = [0] * n
+    for i in range(n):
+        rows[order[i]] |= 1 << order[(i + 1) % n]
     for u in range(n):
         for v in range(n):
-            if u != v and not g.has_arrow(u, v) and rng.random() < extra:
-                g = g.add_arrow(u, v)
-    return g
+            if u != v and not rows[u] >> v & 1 and rng.random() < extra:
+                rows[u] |= 1 << v
+    return Digraph(n, tuple(rows))
 
 
 def _adjacency(words: np.ndarray) -> np.ndarray:
@@ -515,69 +520,52 @@ def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
     their difference prices of ``invariant``.  Returns (climb, kind, u, v,
     value) arrays.
 
-    A graph's first batch is its next ``remaining`` moves plus as many
-    more as it has removals, up to ``remaining`` more.  Additions keep a
-    graph strongly connected, so a batch falls short only where removals
-    or reversals broke the graph; a graph whose batch falls short
-    searches twice as many moves again, until it has ``remaining``
-    strong neighbours or no moves left.  For the distance invariants a
-    batch is the moved graphs and the closures they need, each distinct
-    closure once, built from the round's Ḡ (one ``closure_array`` call)
-    and searched as one ``bfs_built`` stream, so that a round of many
-    climbs holds no more rows than a kernel slice.  Domination searches
-    the batches for strong connectivity alone, and prices the evaluated
-    graphs and their closures in one ``_domination_array`` call."""
+    Additions keep a graph strongly connected, and a removal breaks it
+    only where its arrow is a strong bridge, of which a strong graph has
+    at most 2n - 2 (an out-branching and an in-branching from one vertex
+    span it).  So a graph's first ``remaining`` + min(removals, 2n - 2)
+    moves hold at least ``remaining`` strong ones where they hold no
+    reversal, and it searches those; otherwise it searches its whole
+    neighbourhood.  The searched moves of all graphs and their distinct
+    closures, each once and built from the round's Ḡ (one
+    ``closure_array`` call), go through the kernel as one ``bfs_built``
+    stream of two parts, so that a round of many climbs holds no more
+    rows than a kernel slice.  Domination searches the moves alone, for
+    strong connectivity, and prices the evaluated graphs and their
+    closures in one ``_domination_array`` call."""
     count, n = adj.shape[:2]
     climb, kind, u, v, pos, key = _neighbours(adj)
     words = _words(adj)
     sym_words = closure_array(words)
-    strong = np.zeros(len(climb), bool)
-    value_g = np.zeros(len(climb), np.int64)
-    value_sym = np.zeros(count * (n * n + 1), np.int64)  # by closure key
-    priced = np.zeros(len(value_sym), bool)
+    removals, additions = (np.bincount(climb[kind == k], minlength=count) for k in range(2))
+    end = remaining + np.minimum(removals, 2 * n - 2)  # at most 2n - 2 removals break a graph
+    moves = np.flatnonzero((pos < end[climb]) | (end > removals + additions)[climb])
 
-    def unpriced(moves: np.ndarray) -> np.ndarray:
-        """The keys of the closures of ``moves`` not priced yet, ascending,
-        marked priced."""
-        fresh = np.zeros(len(priced), bool)
-        fresh[key[moves]] = True
-        fresh &= ~priced
-        priced[fresh] = True
-        return np.flatnonzero(fresh)
+    def parts(moves: np.ndarray, keys: np.ndarray):
+        """The moved graphs of ``moves``, then the closures with ``keys``."""
+        return ((len(moves), lambda lo, hi: _moved(words, *(a[moves[lo:hi]] for a in (climb, kind, u, v)))),
+                (len(keys), lambda lo, hi: _closures(sym_words, keys[lo:hi])))
 
-    def batch(moves: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        graphs = _moved(words, climb[moves], kind[moves], u[moves], v[moves])
-        return np.concatenate([graphs, _closures(sym_words, keys)])
+    def distinct(moves: np.ndarray) -> np.ndarray:
+        """The closure keys of ``moves``, each once, ascending."""
+        seen = np.zeros(count * (n * n + 1), bool)
+        seen[key[moves]] = True
+        return np.flatnonzero(seen)
 
-    def search(moves: np.ndarray) -> None:
-        distance = invariant != "domination"
-        keys = unpriced(moves) if distance else key[:0]
-        m = len(moves)  # the graphs, then the closures
-        total, depth_max, reached = bfs_built(m + len(keys), n, lambda lo, hi: batch(
-            moves[lo:hi], keys[max(lo - m, 0):max(hi - m, 0)]))
-        strong[moves] = reached[:m]
-        if distance:
-            values = total if invariant == "transmission" else depth_max
-            value_g[moves], value_sym[keys] = values[:m], values[m:]
-
-    size = np.bincount(climb, minlength=count)
-    done = np.zeros(count, np.int64)  # each graph's moves searched so far
-    end = remaining + np.minimum(np.bincount(climb[kind == 0], minlength=count), remaining)
-    short = np.ones(count, bool)
-    while short.any():
-        search(np.flatnonzero(short[climb] & (pos >= done[climb]) & (pos < end[climb])))
-        found = np.bincount(climb[strong], minlength=count)
-        short = (found < remaining) & (end < size)
-        done, end = end, 2 * end
-    # strong moves of the same graph ahead of each move
-    ahead = np.cumsum(strong) - strong - (np.cumsum(found) - found)[climb]
-    taken = np.flatnonzero(strong & (ahead < remaining[climb]))
+    keys = key[:0] if invariant == "domination" else distinct(moves)
+    total, depth_max, reached = bfs_built(n, *parts(moves, keys))
+    strong = moves[reached[:len(moves)]]
+    found = np.bincount(climb[strong], minlength=count)
+    ahead = np.arange(len(strong)) - (np.cumsum(found) - found)[climb[strong]]  # of its graph
+    taken = strong[ahead < remaining[climb[strong]]]
     if invariant == "domination":
-        keys = unpriced(taken)
-        values = _domination_array(batch(taken, keys))
-        value_g[taken], value_sym[keys] = values[:len(taken)], values[len(taken):]
-    return (climb[taken], kind[taken], u[taken], v[taken],
-            np.abs(value_g[taken] - value_sym[key[taken]]))
+        moves, keys = taken, distinct(taken)
+        values = _domination_array(np.concatenate([build(0, size) for size, build in parts(moves, keys)]))
+    else:
+        values = total if invariant == "transmission" else depth_max
+    value_g = values[np.searchsorted(moves, taken)]
+    value_sym = values[len(moves) + np.searchsorted(keys, key[taken])]
+    return climb[taken], kind[taken], u[taken], v[taken], np.abs(value_g - value_sym)
 
 
 def _step(adj: np.ndarray, value: np.ndarray, remaining: np.ndarray, invariant: str):
@@ -647,6 +635,8 @@ def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int 
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     invariant = objective_invariant(objective)  # validate early
+    if invariant == "domination":
+        check_domination_order(n)
     threads = worker_count()
     t0 = time.monotonic()
     rng = random.Random(seed)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symprice.digraph import Digraph, bfs_arrays, closure_array, pack_rows
+from symprice.digraph import Digraph, bfs_arrays, bfs_built, closure_array, pack_rows
 from symprice.distances import all_pairs_distances
 from symprice import digraph, invariants
 from symprice.errors import DomainError
@@ -118,6 +118,34 @@ def test_kernel_slices_match_whole(monkeypatch):
         for part in (total, depth, reached):
             assert all((part[i * k:(i + 1) * k] == part[:k]).all() for i in range(copies))
         assert [p.tolist() for p in bfs_arrays(batch)] == [p[:k].tolist() for p in (total, depth, reached)]
+
+
+def test_bfs_built_searches_its_parts_as_one_array(monkeypatch):
+    # a stream of parts is searched as the concatenation of the parts, in
+    # slices that cross part boundaries, with pieces of (k, n) and
+    # (k, n, W) arrays mixed
+    n = 12
+    step = digraph.slice_shape(n)[2]
+    batch = pack_rows([g.rows for g in wide_graphs(n)], n)
+
+    cases = [
+        [(0, True), (7, False)],  # an empty first part
+        [(5, False), (0, True), (9, False)],  # an empty middle part
+        [(0, False), (0, True)],  # no graphs: one empty slice
+        [(step - 3, True), (10, False)],  # a part boundary inside a slice
+        [(2 * step + 5, False), (step + 1, True), (3, False)],  # parts spanning slices
+    ]
+    slices = spy_kernel(monkeypatch)
+    for case in cases:
+        parts = [batch[np.arange(count) % len(batch)] for count, _ in case]
+        whole = np.concatenate(parts)
+        slices.clear()
+        built = bfs_built(n, *((len(rows), lambda lo, hi, rows=rows, flat=flat:
+                                rows[lo:hi, :, 0] if flat else rows[lo:hi])
+                               for rows, (_, flat) in zip(parts, case)))
+        assert len(slices) == max(1, -(-len(whole) // step))
+        assert np.concatenate(slices).tolist() == whole.tolist()
+        assert [p.tolist() for p in built] == [p.tolist() for p in bfs_arrays(whole)]
 
 
 def test_price_arrays_holds_one_slice_of_closures(monkeypatch):

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symprice import digraph, invariants, search
-from symprice.digraph import Digraph, closure_array, pack_rows
+from symprice.digraph import Digraph, bfs_built, closure_array, pack_rows
 from symprice.families import cycle
 from symprice.invariants import OBJECTIVES, objective_invariant
 from symprice.search import (_adjacency, _closures, _evaluated, _neighbours, _step, _words,
@@ -123,9 +123,11 @@ def check_round(graphs, remaining, objective, sample=None):
 # two directed triangles 1 -> 3 -> 4 -> 1 and 2 -> 0 -> 5 -> 2 joined by
 # 1 -> 2 and 0 -> 3, labelled so those two come first among the removals:
 # neither end of either has degree one, yet removing either breaks the
-# graph, so a one-evaluation prefix falls short and a second batch runs
+# graph, so a one-evaluation climb must search past its removals
 JOINED_TRIANGLES = Digraph.from_arrows(6, [(0, 5), (0, 3), (1, 2), (1, 3), (3, 4), (4, 1), (2, 0), (5, 2)])
 NINE = random_strongly_connected(9, random.Random(9), 0.3)
+# 30 removals, more than the 2n - 2 = 10 that can break it, and no addition
+COMPLETE_6 = Digraph.from_arrows(6, [(i, j) for i in range(6) for j in range(6) if i != j])
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -136,6 +138,7 @@ NINE = random_strongly_connected(9, random.Random(9), 0.3)
 @example(rnd=([NINE, cycle(9), NINE.add_arrow(0, 4)], [10 ** 6] * 3))
 @example(rnd=([cycle(6), cycle(6).add_arrow(0, 3)], [7, 3]))
 @example(rnd=([JOINED_TRIANGLES, cycle(6)], [1, 30]))
+@example(rnd=([COMPLETE_6, COMPLETE_6], [3, 21]))
 def test_moves_match_reference(objective, rnd):
     check_round(*rnd, objective)
 
@@ -172,9 +175,9 @@ def test_closure_keys(g):
 
 
 def test_round_is_one_kernel_batch(monkeypatch):
-    # when every climb's prefix suffices, a round is one kernel slice, takes
-    # the round's Ḡ from one closure_array call on its C graphs, and prices
-    # each climb's distinct closures once: Ḡ plus one row per toggled pair
+    # a round is one kernel slice, takes the round's Ḡ from one
+    # closure_array call on its C graphs, and prices each climb's
+    # distinct closures once: Ḡ plus one row per toggled pair
     calls, closure_calls = spy_kernel(monkeypatch), []
     for module in (digraph, invariants, search):
         f = module.closure_array
@@ -213,12 +216,47 @@ def test_round_is_built_one_kernel_slice_at_a_time(monkeypatch):
     assert len(calls) > 1 and calls[:-1] == [step] * (len(calls) - 1) and 0 < calls[-1] <= step
 
 
-def test_short_prefix_gets_a_second_batch(monkeypatch):
+def test_short_prefix_is_one_kernel_batch(monkeypatch):
+    # JOINED_TRIANGLES at cap 1 searches its removals and one addition in
+    # the same kernel batch as the whole neighbourhood of cycle(6)
     graphs, remaining = [JOINED_TRIANGLES, cycle(6)], [1, 30]
     check_round(graphs, remaining, "sigma")
     calls = spy_kernel(monkeypatch)
     _evaluated(stack(graphs), np.array(remaining), "transmission")
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@settings(max_examples=100, deadline=None)
+@given(rnd=rounds())
+@example(rnd=([JOINED_TRIANGLES, cycle(6)], [1, 30]))
+@example(rnd=([cycle(5), cycle(5)], [3, 3]))  # equal closures of two climbs stay apart
+@example(rnd=([COMPLETE_6, COMPLETE_6], [3, 21]))  # a prefix of removals, then all of them
+def test_round_searches_one_exact_prefix(objective, rnd):
+    # one bfs_built call per round: its first part is each climb's first
+    # remaining + min(removals, 2n - 2) moves where they hold no reversal,
+    # else its whole neighbourhood; its second part is the distinct
+    # closures of each climb's searched moves, none for domination
+    graphs, remaining = rnd
+    adj = stack(graphs)
+    climb, kind, u, v, _, _ = _neighbours(adj)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "bfs_built", lambda n, *parts: calls.append(
+            [build(0, count)[:, :, 0].tolist() for count, build in parts]) or bfs_built(n, *parts))
+        _evaluated(adj, np.array(remaining), objective_invariant(objective))
+    assert len(calls) == 1
+    searched, closures = calls[0]
+    prefix, distinct = [], []
+    for c, (g, r) in enumerate(zip(graphs, remaining)):
+        moves = list(zip(*(x[climb == c].tolist() for x in (kind, u, v))))
+        kinds = [m[0] for m in moves]
+        end = r + min(kinds.count(0), 2 * g.n - 2)
+        hs = [moved(g, *m) for m in (moves if 2 in kinds[:end] else moves[:end])]
+        prefix += [list(h.rows) for h in hs]
+        distinct += {h.symmetric_closure().rows for h in hs}
+    assert searched == prefix
+    assert sorted(map(tuple, closures)) == ([] if objective == "domination" else sorted(distinct))
 
 
 # (start, start value, end value, evals) of the eleven family starts at n = 12

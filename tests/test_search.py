@@ -1,11 +1,13 @@
 import itertools
 import math
 import os
+import random
 from dataclasses import replace
 
 import pytest
 
 from symprice import families, formulas, invariants, search
+from symprice.cli import main
 from symprice.digraph import Digraph, canonical_form
 from symprice.errors import SizeError
 from symprice.invariants import pos_sigma, transmission
@@ -207,6 +209,29 @@ def test_random_strongly_connected(rng):
         assert g.is_strongly_connected()
 
 
+def one_arrow_at_a_time(n, rng, extra=0.3):
+    """The reference construction: a hamiltonian cycle, then a new
+    Digraph for each extra arrow."""
+    order = list(range(n))
+    rng.shuffle(order)
+    g = Digraph.from_arrows(n, [(order[i], order[(i + 1) % n]) for i in range(n)])
+    for u in range(n):
+        for v in range(n):
+            if u != v and not g.has_arrow(u, v) and rng.random() < extra:
+                g = g.add_arrow(u, v)
+    return g
+
+
+@pytest.mark.parametrize("n", [3, 7, 12, 20, 65])
+@pytest.mark.parametrize("extra", [0.0, 0.05, 0.3, 1.0])
+def test_random_strongly_connected_matches_one_arrow_at_a_time(n, extra):
+    # the same graph from the same draws, so seeded searches keep their starts
+    for seed in range(4):
+        mine, reference = random.Random(seed), random.Random(seed)
+        assert random_strongly_connected(n, mine, extra) == one_arrow_at_a_time(n, reference, extra)
+        assert mine.random() == reference.random()
+
+
 def test_hill_climb_reaches_cycle_value():
     out = hill_climb(6, "sigma", budget=3000, seed=0)
     assert out.best_value == formulas.pos_cycle(6)
@@ -255,6 +280,22 @@ def test_hill_climb_checks_threads_before_any_work(monkeypatch):
         monkeypatch.setenv("SYMPRICE_THREADS", bad)
         with pytest.raises(ValueError, match="SYMPRICE_THREADS"):
             hill_climb(150, "sigma", 2000000, 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [21, 400])
+def test_hill_climb_checks_domination_order_before_any_work(monkeypatch, capsys, n):
+    # an order above DOMINATION_ORDER_CAP is refused with the other
+    # arguments, before the starts are built, and the CLI exits 2
+    calls = []
+    for name in ("_warm_starts", "random_strongly_connected"):
+        monkeypatch.setattr(search, name, lambda *a, name=name: calls.append(name))
+    message = f"domination number capped at n={invariants.DOMINATION_ORDER_CAP}, got {n}"
+    with pytest.raises(SizeError, match=message):
+        hill_climb(n, "domination", 2000, 1)
+    argv = ["search", "--mode", "heuristic", "--n", str(n), "--objective", "domination", "--budget", "2000"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert calls == []
 
 
