@@ -56,19 +56,28 @@ keep the graph strongly connected, in that order, and takes the first
 strictly best one; a climb ends at a local optimum or at its cap of
 evaluations.  The climbs run in lockstep (``_climb_group``): each round
 is one ``_step`` of every live climb, and ``_evaluated`` prices the
-round's moves of all climbs as one batch.  Each climb searches one exact
-prefix of its moves: as many as its cap can still use plus one per
-removal that could break it, at most 2n - 2 (the most strong bridges a
-strong graph has), or its whole neighbourhood where that prefix would
-reach its reversals.  A move's closure is Ḡ, or Ḡ with the one pair
-{u, v} toggled (the removal of a one-way arrow, or an addition on an
-empty pair), so it is keyed by that pair and built from the rows of Ḡ
-(``digraph.closure_array``), and each distinct closure is priced once.
-The searched moves and, for the distance objectives, their closures go
-through the kernel as one ``digraph.bfs_built`` stream of two parts,
-built one slice at a time, whose reached-all flags drop the neighbours
-that are not strongly connected; domination prices the evaluated graphs
-and their closures in one ``_domination_array`` scan.  The starts of all
+round's moves of all climbs as one batch.  Each round builds the exact
+all-pairs distance matrices of its graphs and, for the distance
+objectives, of their closures Ḡ once, as int16, by a batched
+Floyd–Warshall (``_distances``).  Adding an arrow u -> v only shortens
+paths, d'(s, t) = min(d(s, t), d(s, u) + 1 + d(v, t)), the insertion step
+of dynamic all-pairs shortest paths (Ausiello, Italiano,
+Marchetti-Spaccamela & Nanni, J. Algorithms 1991; Demetrescu & Italiano,
+JACM 2004), so every addition, every closure that adds an edge to Ḡ and
+Ḡ itself are priced from those matrices (``_inserted``).  A removal or a
+reversal of an arrow off an out- and an in-branching at vertex 0
+(``_tree_arrows``, at most 2n - 2 arrows) keeps the graph strongly
+connected, so each climb searches one exact prefix of its moves, up to
+its ``remaining``-th known-strong one.  A move's closure is Ḡ, or Ḡ with
+the one pair {u, v} toggled (the removal of a one-way arrow, or an
+addition on an empty pair), so it is keyed by that pair and each
+distinct closure is priced once.  The prefix's removals and reversals
+and the distinct closures that remove an edge of Ḡ, built from the
+words of Ḡ, go through the kernel as one ``digraph.bfs_built`` stream of
+two parts, built one slice at a time, whose reached-all flags drop the
+neighbours that are not strongly connected; domination sends the
+removals and reversals alone and prices the evaluated graphs and their
+closures in one ``_domination_array`` scan.  The starts of all
 climbs are priced together by ``invariants.price_arrays`` before any
 climb is dispatched.  The climbs are dealt round-robin into
 ``min(worker_count(), cores, climbs)`` groups, but no more than one per
@@ -91,8 +100,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .digraph import (ISO_ORDER_CAP, Digraph, bfs_arrays, bfs_built, canonical_form, check_order,
-                      closure_array, pack_rows)
+from .digraph import (ISO_ORDER_CAP, TABLE_ENTRIES, Digraph, bfs_arrays, bfs_built, canonical_form,
+                      check_order, pack_rows)
 from .errors import InvariantViolation, SizeError
 # OBJECTIVES stays importable from here for callers of the search API
 from .invariants import (OBJECTIVES, _domination_array, check_domination_order,  # noqa: F401
@@ -513,6 +522,81 @@ def _closures(sym_words: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return batch
 
 
+def _distances(adj: np.ndarray) -> np.ndarray:
+    """The exact all-pairs distances of each graph of a (C, n, n) boolean
+    adjacency stack, as a (C, n, n) int16 array: a batched Floyd–Warshall
+    over the stack, from 1 on each arrow and a sentinel of 2n elsewhere.
+    Distances stay below n <= ``ORDER_CAP``, so every d + d + 1, the
+    sentinel's included, fits in int16.  A graph that is not strongly
+    connected keeps the sentinel somewhere and raises InvariantViolation,
+    since the climber's graphs and their closures all are."""
+    n = adj.shape[1]
+    dist = np.where(adj, np.int16(1), np.int16(2 * n))
+    dist[:, np.arange(n), np.arange(n)] = 0
+    for k in range(n):
+        np.minimum(dist, dist[:, :, k, None] + dist[:, None, k, :], out=dist)
+    unreached = (dist == 2 * n).any(axis=(1, 2))
+    if unreached.any():
+        raise InvariantViolation(
+            f"graph {int(unreached.argmax())} of a climb round is not strongly connected")
+    return dist
+
+
+def _tree_arrows(adj: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """The arrows of an out-branching and an in-branching at vertex 0 of
+    each graph of a strongly connected (C, n, n) boolean stack whose
+    distances are ``dist``, as a (C, n, n) boolean stack: for each v != 0,
+    the arrow p -> v from the first p with d(0, p) + 1 = d(0, v), and the
+    arrow v -> q to the first q with d(q, 0) + 1 = d(v, 0).  Removing or
+    reversing any other arrow keeps both branchings, so vertex 0 still
+    reaches every vertex and is reached by every vertex: the graph stays
+    strongly connected."""
+    count, n = adj.shape[:2]
+    parent = (adj & (dist[:, 0, :, None] + 1 == dist[:, 0, None, :])).argmax(axis=1)
+    child = (adj & (dist[:, :, 0, None] == dist[:, None, :, 0] + 1)).argmax(axis=2)
+    tree = np.zeros_like(adj)
+    graph, vertex = np.arange(count)[:, None], np.arange(1, n)
+    tree[graph, parent[:, 1:], vertex] = True
+    tree[graph, vertex, child[:, 1:]] = True
+    return tree
+
+
+def _value(dist: np.ndarray, invariant: str) -> np.ndarray:
+    """The transmission (sum) or diameter (max) of each (n, n) distance
+    matrix of a stack, as int64."""
+    if invariant == "transmission":
+        return dist.sum(axis=(1, 2), dtype=np.int64)
+    return dist.max(axis=(1, 2)).astype(np.int64)
+
+
+def _inserted(dist: np.ndarray, graph: np.ndarray, u: np.ndarray, v: np.ndarray, invariant: str,
+              both: bool = False) -> np.ndarray:
+    """The ``_value`` of each graph ``graph[i]`` of distances ``dist`` with
+    the arrow u[i] -> v[i] added, and v[i] -> u[i] as well where ``both``,
+    by the insertion step of dynamic all-pairs shortest paths: d'(s, t) =
+    min(d(s, t), d(s, u) + 1 + d(v, t)), and for ``both`` also d(s, v) + 1
+    + d(u, t), the transpose of that sum where d is symmetric.  The
+    insertions go in chunks of at most ``TABLE_ENTRIES`` matrix entries."""
+    n = dist.shape[1]
+    step = max(1, TABLE_ENTRIES // (n * n))
+    out = np.empty(len(graph), np.int64)
+    for lo in range(0, len(graph), step):
+        c, a, b = (x[lo:lo + step] for x in (graph, u, v))
+        via = dist[c, :, a][:, :, None] + 1 + dist[c, b][:, None, :]
+        d = np.minimum(dist[c], via)
+        if both:
+            np.minimum(d, via.transpose(0, 2, 1), out=d)
+        out[lo:lo + step] = _value(d, invariant)
+    return out
+
+
+def _ranks(flags: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """For each move of ``_neighbours``, at place ``pos`` among its
+    graph's moves, how many moves of its graph before it have ``flags``."""
+    before = np.cumsum(flags) - flags
+    return before - before[np.arange(len(flags)) - pos]
+
+
 def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
     """The strongly connected neighbours that each graph of a (C, n, n)
     boolean adjacency stack evaluates in one step, at most
@@ -520,51 +604,69 @@ def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
     their difference prices of ``invariant``.  Returns (climb, kind, u, v,
     value) arrays.
 
-    Additions keep a graph strongly connected, and a removal breaks it
-    only where its arrow is a strong bridge, of which a strong graph has
-    at most 2n - 2 (an out-branching and an in-branching from one vertex
-    span it).  So a graph's first ``remaining`` + min(removals, 2n - 2)
-    moves hold at least ``remaining`` strong ones where they hold no
-    reversal, and it searches those; otherwise it searches its whole
-    neighbourhood.  The searched moves of all graphs and their distinct
-    closures, each once and built from the round's Ḡ (one
-    ``closure_array`` call), go through the kernel as one ``bfs_built``
-    stream of two parts, so that a round of many climbs holds no more
-    rows than a kernel slice.  Domination searches the moves alone, for
-    strong connectivity, and prices the evaluated graphs and their
-    closures in one ``_domination_array`` call."""
+    Each round builds the exact distance matrices of its graphs and, for
+    the distance objectives, of their closures Ḡ once (``_distances``).
+    An addition, or a removal or reversal of an arrow off the graph's
+    ``_tree_arrows``, keeps it strongly connected, so a graph searches
+    its moves up to its ``remaining``-th such known-strong one, or all of
+    them where it has fewer: that prefix holds at least ``remaining``
+    strong moves, and its first ones are those the climb evaluates.
+
+    Each move and each distinct closure is priced by one method, chosen
+    by its kind.  An addition, a closure that adds the edge {u, v} to Ḡ
+    and Ḡ itself are priced from the distance matrices (``_inserted``,
+    ``_value``).  The prefix's removals and reversals and the distinct
+    closures that remove an edge of Ḡ go through the kernel as one
+    ``bfs_built`` stream of two parts, whose reached-all flags drop the
+    removals and reversals that are not strongly connected.  Domination
+    sends the removals and reversals alone, and prices the evaluated
+    graphs and their closures in one ``_domination_array`` call."""
     count, n = adj.shape[:2]
     climb, kind, u, v, pos, key = _neighbours(adj)
-    words = _words(adj)
-    sym_words = closure_array(words)
-    removals, additions = (np.bincount(climb[kind == k], minlength=count) for k in range(2))
-    end = remaining + np.minimum(removals, 2 * n - 2)  # at most 2n - 2 removals break a graph
-    moves = np.flatnonzero((pos < end[climb]) | (end > removals + additions)[climb])
+    dist = _distances(adj)
+    known = (kind == 1) | ~_tree_arrows(adj, dist)[climb, u, v]
+    prefix = _ranks(known, pos) < remaining[climb]
+    sym = adj | adj.transpose(0, 2, 1)
+    words, sym_words = _words(adj), _words(sym)
+    toggles = key % (n * n + 1) < n * n  # the move's closure is not Ḡ itself
+    cut = toggles & (kind == 0)  # its closure is Ḡ less the edge {u, v}
 
     def parts(moves: np.ndarray, keys: np.ndarray):
         """The moved graphs of ``moves``, then the closures with ``keys``."""
         return ((len(moves), lambda lo, hi: _moved(words, *(a[moves[lo:hi]] for a in (climb, kind, u, v)))),
                 (len(keys), lambda lo, hi: _closures(sym_words, keys[lo:hi])))
 
-    def distinct(moves: np.ndarray) -> np.ndarray:
-        """The closure keys of ``moves``, each once, ascending."""
+    def distinct(keys: np.ndarray) -> np.ndarray:
+        """The closure keys ``keys``, each once, ascending."""
         seen = np.zeros(count * (n * n + 1), bool)
-        seen[key[moves]] = True
+        seen[keys] = True
         return np.flatnonzero(seen)
 
-    keys = key[:0] if invariant == "domination" else distinct(moves)
-    total, depth_max, reached = bfs_built(n, *parts(moves, keys))
-    strong = moves[reached[:len(moves)]]
-    found = np.bincount(climb[strong], minlength=count)
-    ahead = np.arange(len(strong)) - (np.cumsum(found) - found)[climb[strong]]  # of its graph
-    taken = strong[ahead < remaining[climb[strong]]]
+    moves = np.flatnonzero(prefix & (kind != 1))
+    cuts = key[:0] if invariant == "domination" else distinct(key[prefix & cut])
+    total, depth_max, reached = bfs_built(n, *parts(moves, cuts))
+    strong = prefix.copy()
+    strong[moves] = reached[:len(moves)]
+    taken = np.flatnonzero(strong & (_ranks(strong, pos) < remaining[climb]))
     if invariant == "domination":
-        moves, keys = taken, distinct(taken)
-        values = _domination_array(np.concatenate([build(0, size) for size, build in parts(moves, keys)]))
+        keys = distinct(key[taken])
+        values = _domination_array(np.concatenate([build(0, size) for size, build in parts(taken, keys)]))
+        value_g, value_sym = values[:len(taken)], values[len(taken) + np.searchsorted(keys, key[taken])]
     else:
         values = total if invariant == "transmission" else depth_max
-    value_g = values[np.searchsorted(moves, taken)]
-    value_sym = values[len(moves) + np.searchsorted(keys, key[taken])]
+        sym_dist = _distances(sym)
+        value_g, value_sym = np.empty((2, len(taken)), np.int64)
+        add = kind[taken] == 1
+        value_g[~add] = values[np.searchsorted(moves, taken[~add])]
+        value_g[add] = _inserted(dist, *(a[taken[add]] for a in (climb, u, v)), invariant)
+        own, gone = ~toggles[taken], cut[taken]
+        value_sym[own] = _value(sym_dist, invariant)[climb[taken[own]]]
+        value_sym[gone] = values[len(moves) + np.searchsorted(cuts, key[taken[gone]])]
+        new = ~own & ~gone  # Ḡ with the edge {u, v} added
+        keys = distinct(key[taken[new]])
+        graph, pair = np.divmod(keys, n * n + 1)
+        value_sym[new] = _inserted(sym_dist, graph, *np.divmod(pair, n), invariant,
+                                   both=True)[np.searchsorted(keys, key[taken[new]])]
     return climb[taken], kind[taken], u[taken], v[taken], np.abs(value_g - value_sym)
 
 

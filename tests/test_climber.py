@@ -1,8 +1,10 @@
 """The hill climber's rounds and its recorded outcomes.
 
 A round (``search._step``) prices one step of several climbs at once:
-``_evaluated`` stacks every climb's single-arrow neighbours and the
-distinct closures they need into one kernel batch.  The reference it
+``_evaluated`` prices every climb's single-arrow additions and the
+closures that add an edge to Ḡ from the round's distance matrices, and
+stacks the removals, reversals and distinct closures that remove an
+edge of Ḡ into one kernel batch.  The reference it
 must match, climb by climb, is ``neighbors`` below walked with the
 scalar ``objective_fn`` of conftest: removals that keep the graph
 strongly connected, then additions, then reversals, stopping after
@@ -16,12 +18,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symprice import digraph, invariants, search
+from symprice import digraph, search
 from symprice.digraph import Digraph, bfs_built, closure_array, pack_rows
+from symprice.distances import all_pairs_distances
+from symprice.errors import InvariantViolation
 from symprice.families import cycle
-from symprice.invariants import OBJECTIVES, objective_invariant
-from symprice.search import (_adjacency, _closures, _evaluated, _neighbours, _step, _words,
-                             hill_climb, random_strongly_connected)
+from symprice.invariants import OBJECTIVES, objective_invariant, price_arrays
+from symprice.search import (_adjacency, _closures, _distances, _evaluated, _inserted, _neighbours,
+                             _step, _words, hill_climb, random_strongly_connected)
 
 from conftest import objective_fn, spy_kernel
 
@@ -174,34 +178,91 @@ def test_closure_keys(g):
     assert len(set(by_key.values())) == len(by_key)
 
 
+@settings(max_examples=100, deadline=None)
+@given(graphs=st.integers(2, 9).flatmap(lambda n: st.lists(strong_digraphs(n), min_size=1, max_size=3)))
+@example(graphs=[random_strongly_connected(65, random.Random(65), 0.05)])
+def test_distances_match_oracles(graphs):
+    # the batched Floyd–Warshall of the graphs and their closures against
+    # the scalar BFS levels and networkx, entry by entry
+    nx = pytest.importorskip("networkx")
+    graphs = graphs + [g.symmetric_closure() for g in graphs]
+    dist = _distances(stack(graphs))
+    assert dist.dtype == np.int16
+    for d, g in zip(dist.tolist(), graphs):
+        assert d == [list(row) for row in all_pairs_distances(g).dist]
+        h = nx.DiGraph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.arrows())
+        ref = dict(nx.all_pairs_shortest_path_length(h))
+        assert d == [[ref[s][t] for t in range(g.n)] for s in range(g.n)]
+
+
+@pytest.mark.parametrize("graphs", [
+    [Digraph.from_arrows(3, [(0, 1), (1, 2)])],  # a path
+    [cycle(4), Digraph.from_arrows(4, [(0, 1), (1, 0), (2, 3), (3, 2)])],  # two 2-cycles, second
+    [Digraph.empty(2)],
+])
+def test_distances_refuse_graphs_not_strongly_connected(graphs):
+    with pytest.raises(InvariantViolation, match=f"graph {len(graphs) - 1} of a climb round"):
+        _distances(stack(graphs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=st.integers(2, 9).flatmap(strong_digraphs))
+@example(g=cycle(6))
+@example(g=random_strongly_connected(65, random.Random(65), 0.05))
+def test_insertions_match_price_arrays(g):
+    # every addition priced from the graph's distances, and every closure
+    # that adds an edge to Ḡ from Ḡ's, as price_arrays prices the graph
+    sym = g.symmetric_closure()
+    dist, sym_dist = _distances(stack([g])), _distances(stack([sym]))
+    additions = [(a, b) for a in range(g.n) for b in range(g.n) if a != b and not g.has_arrow(a, b)]
+    edges = [(a, b) for a, b in additions if a < b and not sym.has_arrow(a, b)]
+    for base, d, pairs, both in ((g, dist, additions, False), (sym, sym_dist, edges, True)):
+        if not pairs:
+            continue
+        a, b = np.array(pairs).T
+        graphs = [base.add_arrow(x, y) for x, y in pairs]
+        if both:
+            graphs = [h.add_arrow(y, x) for h, (x, y) in zip(graphs, pairs)]
+        packed = pack_rows([h.rows for h in graphs], g.n)
+        for invariant in ("transmission", "diameter"):
+            got = _inserted(d, np.zeros(len(pairs), np.int64), a, b, invariant, both)
+            assert got.tolist() == price_arrays(packed, invariant)[0].tolist()
+
+
 def test_round_is_one_kernel_batch(monkeypatch):
-    # a round is one kernel slice, takes the round's Ḡ from one
-    # closure_array call on its C graphs, and prices each climb's
-    # distinct closures once: Ḡ plus one row per toggled pair
-    calls, closure_calls = spy_kernel(monkeypatch), []
-    for module in (digraph, invariants, search):
-        f = module.closure_array
-        monkeypatch.setattr(module, "closure_array", lambda rows, f=f: closure_calls.append(rows.copy()) or f(rows))
+    # a round of whole neighbourhoods is one kernel slice: each climb's
+    # removals and reversals, then each distinct closure that removes an
+    # edge of a climb's Ḡ once; no addition and no closure that adds an
+    # edge to Ḡ reaches the kernel
+    calls = spy_kernel(monkeypatch)
     rng = random.Random(7)
     graphs = [random_strongly_connected(10, rng, extra) for extra in (0.05, 0.2, 0.5)]
     adj = stack(graphs)
-    climb, kind, u, v, _, key = _neighbours(adj)
+    climb, kind, u, v, _, _ = _neighbours(adj)
     _evaluated(adj, np.array([10 ** 6] * 3), "transmission")
-    assert len(calls) == 1 and len(closure_calls) == 1
-    assert closure_calls[0].tolist() == pack_rows([g.rows for g in graphs], 10).tolist()
-    batch = calls[0][:, :, 0].tolist()
-    graph_rows, closure_rows = batch[:len(climb)], batch[len(climb):]
-    expected = []
+    assert len(calls) == 1
+    batch = [tuple(r) for r in calls[0][:, :, 0].tolist()]
+    searched, cuts, additions, inserting = [], [], set(), set()
     for c, g in enumerate(graphs):
-        moves = list(zip(*(x[climb == c].tolist() for x in (kind, u, v))))
-        hs = [moved(g, *m) for m in moves]
-        assert [list(h.rows) for h in hs] == [r for r, k in zip(graph_rows, climb) if k == c]
-        distinct = {h.symmetric_closure().rows for h in hs}
-        toggled = {frozenset((a, b)) for (_, a, b), h in zip(moves, hs)
-                   if h.symmetric_closure() != g.symmetric_closure()}
-        assert len(distinct) == 1 + len(toggled)
-        expected += distinct
-    assert sorted(map(tuple, closure_rows)) == sorted(expected)
+        sym, cut = g.symmetric_closure(), set()
+        for move in zip(*(x[climb == c].tolist() for x in (kind, u, v))):
+            h = moved(g, *move)
+            if move[0] == 1:
+                additions.add(h.rows)
+            else:
+                searched.append(h.rows)
+            closure = h.symmetric_closure()
+            edges = closure.arrow_count() - sym.arrow_count()
+            if edges < 0:
+                cut.add(closure.rows)
+            elif edges > 0:
+                inserting.add(closure.rows)
+        cuts += cut
+    assert batch[:len(searched)] == searched
+    assert sorted(batch[len(searched):]) == sorted(cuts)
+    assert not (additions | inserting) & set(batch)
 
 
 def test_round_is_built_one_kernel_slice_at_a_time(monkeypatch):
@@ -217,13 +278,25 @@ def test_round_is_built_one_kernel_slice_at_a_time(monkeypatch):
 
 
 def test_short_prefix_is_one_kernel_batch(monkeypatch):
-    # JOINED_TRIANGLES at cap 1 searches its removals and one addition in
-    # the same kernel batch as the whole neighbourhood of cycle(6)
+    # JOINED_TRIANGLES at cap 1 searches its removals up to its first one
+    # off the branchings at vertex 0 in the same kernel batch as the
+    # removals and reversals of cycle(6)
     graphs, remaining = [JOINED_TRIANGLES, cycle(6)], [1, 30]
     check_round(graphs, remaining, "sigma")
     calls = spy_kernel(monkeypatch)
     _evaluated(stack(graphs), np.array(remaining), "transmission")
     assert len(calls) == 1
+
+
+def tree_arrows(g):
+    """The arrows of the out- and in-branching at vertex 0 that the
+    climber keeps: to each v != 0 from its first p with d(0, p) + 1 =
+    d(0, v), and from v to its first q with d(q, 0) + 1 = d(v, 0)."""
+    d = all_pairs_distances(g)
+    return ({(next(p for p in range(g.n) if g.rows[p] >> w & 1 and d[0, p] + 1 == d[0, w]), w)
+             for w in range(1, g.n)}
+            | {(w, next(q for q in range(g.n) if g.rows[w] >> q & 1 and d[q, 0] + 1 == d[w, 0]))
+               for w in range(1, g.n)})
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -233,30 +306,39 @@ def test_short_prefix_is_one_kernel_batch(monkeypatch):
 @example(rnd=([cycle(5), cycle(5)], [3, 3]))  # equal closures of two climbs stay apart
 @example(rnd=([COMPLETE_6, COMPLETE_6], [3, 21]))  # a prefix of removals, then all of them
 def test_round_searches_one_exact_prefix(objective, rnd):
-    # one bfs_built call per round: its first part is each climb's first
-    # remaining + min(removals, 2n - 2) moves where they hold no reversal,
-    # else its whole neighbourhood; its second part is the distinct
-    # closures of each climb's searched moves, none for domination
+    # a climb searches its moves up to its remaining-th known-strong one
+    # (an addition, or a removal or reversal of an arrow off its
+    # tree_arrows), or all of them where it has fewer.  One bfs_built
+    # call per round, and all the kernel ever sees: the removals and
+    # reversals of those prefixes, then the distinct closures of their
+    # moves that remove an edge of Ḡ (none for domination)
     graphs, remaining = rnd
     adj = stack(graphs)
     climb, kind, u, v, _, _ = _neighbours(adj)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "bfs_built", lambda n, *parts: calls.append(
-            [build(0, count)[:, :, 0].tolist() for count, build in parts]) or bfs_built(n, *parts))
+        mp.setattr(search, "bfs_built", lambda n, *parts: calls.append(n) or bfs_built(n, *parts))
+        slices = spy_kernel(mp)
         _evaluated(adj, np.array(remaining), objective_invariant(objective))
     assert len(calls) == 1
-    searched, closures = calls[0]
-    prefix, distinct = [], []
+    searched, cuts = [], []
     for c, (g, r) in enumerate(zip(graphs, remaining)):
-        moves = list(zip(*(x[climb == c].tolist() for x in (kind, u, v))))
-        kinds = [m[0] for m in moves]
-        end = r + min(kinds.count(0), 2 * g.n - 2)
-        hs = [moved(g, *m) for m in (moves if 2 in kinds[:end] else moves[:end])]
-        prefix += [list(h.rows) for h in hs]
-        distinct += {h.symmetric_closure().rows for h in hs}
-    assert searched == prefix
-    assert sorted(map(tuple, closures)) == ([] if objective == "domination" else sorted(distinct))
+        tree, known, cut = tree_arrows(g), 0, set()  # equal closures of two climbs stay apart
+        sym = g.symmetric_closure()
+        for move in zip(*(x[climb == c].tolist() for x in (kind, u, v))):
+            if known == r:
+                break
+            known += move[0] == 1 or move[1:] not in tree
+            h = moved(g, *move)
+            if move[0] != 1:
+                searched.append(h.rows)
+            closure = h.symmetric_closure()
+            if closure.arrow_count() < sym.arrow_count():
+                cut.add(closure.rows)
+        cuts += cut
+    kernel = [tuple(r) for r in np.concatenate(slices)[:, :, 0].tolist()]
+    assert kernel[:len(searched)] == searched
+    assert sorted(kernel[len(searched):]) == ([] if objective == "domination" else sorted(cuts))
 
 
 # (start, start value, end value, evals) of the eleven family starts at n = 12
@@ -338,3 +420,13 @@ def test_hill_climb_golden_beyond_one_word():
     assert out.best_value == 78438
     assert out.graphs_visited == 136
     assert [g.rows for g in out.maximizers] == [BAG_65_27]
+
+
+def test_short_caps_search_few_kernel_rows(monkeypatch):
+    # caps of 2 at n = 65: a climb searches its moves only up to its
+    # remaining-th one known to keep it strong, not 2n - 2 removals past
+    # its cap (14933 kernel rows), and no addition reaches the kernel
+    monkeypatch.setenv("SYMPRICE_THREADS", "1")
+    rows = spy_kernel(monkeypatch)
+    assert hill_climb(65, "sigma", 200, 1).best_value == 78438
+    assert sum(map(len, rows)) == 792
