@@ -5,19 +5,20 @@ bitsets: bit j of ``rows[i]`` is set iff the arrow (i, j) is present.
 Instances are immutable values; every mutator returns a new graph.
 
 Batches of graphs of one order are (N, n, W) int64 arrays, W = ceil(n /
-64) words per row (``pack_rows``).  ``bfs_arrays`` searches from every
-source of every graph at once: a level is one table gather per block of
-vertices (multi-source traversal after Then et al., PVLDB 2014, with the
-Four-Russians tables of Arlazarov, Dinic, Kronrod & Faradzev, 1970), and
-the search stops at the first level without a frontier.  The n vertices
-fall into ceil(n / 8) blocks of balanced width ceil(n / blocks), so
-n = 12 takes two blocks of 6 (tables of 64 entries, not 256) and n = 20
-three of 7; from n = 50 on the width is 8, so no block straddles a word.
-``bfs_built`` is the one place graphs enter the kernel: a stream of
+64) words per row (``pack_rows``), or (N, n, n) boolean adjacency stacks
+(``adjacency``; ``row_words`` packs them back).  ``distance_stack`` is
+the package's one batched all-pairs loop: a Floyd–Warshall (Floyd, CACM
+1962) over an int16 stack of N graphs, stored with the batch axis last
+while N >= n, so each of its n passes is one numpy operation over the
+whole stack with inner loops along the batch.  It always makes n
+passes, where a breadth-first search would stop at the diameter; that
+is the price of one engine for dense graphs of large order.
+``bfs_built`` is the one place graphs enter it in bulk: a stream of
 parts, such as a batch of graphs and then their closures, each slice
-built from the parts it covers, searched and joined; ``bfs_arrays`` is
-the stream of one part, an array's own rows.
-``bfs_levels`` is the scalar frontier loop for single graphs.
+built from the parts it covers, searched and joined into distance sums,
+maxima and reached-all flags; ``bfs_arrays`` is the stream of one part,
+an array's own rows.  ``bfs_levels`` is the scalar frontier loop for
+single graphs.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .errors import SizeError
 
 ISO_ORDER_CAP = 10  # canonical forms are only claimed up to this order
 ORDER_CAP = 1000  # orders read from family specs and graph files; ladder timings in README
-TABLE_ENTRIES = 1 << 17  # lookup-table words per slice of bfs_arrays, to bound memory
+TABLE_ENTRIES = 1 << 17  # distance entries, n * n a graph, per slice of bfs_built: bounds memory
 _WORD = (1 << 64) - 1
 
 
@@ -62,8 +63,8 @@ def bfs_levels(rows: tuple[int, ...], s: int, allowed: int) -> Iterator[int]:
     the vertices at distance 1, 2, ... along paths inside ``allowed``.
 
     ``rows[i]`` is the out-neighbour bitmask of vertex i.  This is the
-    one frontier-expansion loop of the package; ``bfs_arrays`` is its
-    batched twin.
+    one frontier-expansion loop of the package; ``distance_stack`` is
+    its batched counterpart.
     """
     seen = frontier = 1 << s
     while frontier:
@@ -86,118 +87,91 @@ def pack_rows(rows: Iterable[tuple[int, ...]], n: int) -> np.ndarray:
     return np.array(flat, dtype=np.uint64).view(np.int64).reshape(-1, n, words)
 
 
-def _frontier_tables(rows: np.ndarray, width: int, blocks: int) -> np.ndarray:
-    """For each graph of an (N, n, W) array and each block of ``width``
-    vertices: the OR of the rows of every subset of the block, indexed
-    by the subset's bits, flattened to (N * blocks * 2^width, W)."""
-    count, n, words = rows.shape
-    padded = np.zeros((count, blocks * width, words), np.int64)
-    padded[:, :n] = rows
-    padded = padded.reshape(count, blocks, width, words)
-    table = np.zeros((count, blocks, 1 << width, words), np.int64)
-    for i in range(width):  # subsets with top bit i are those below it plus vertex i
-        np.bitwise_or(table[:, :, : 1 << i], padded[:, :, i, None], out=table[:, :, 1 << i: 2 << i])
-    return table.reshape(-1, words)
+def adjacency(words: np.ndarray) -> np.ndarray:
+    """The (N, n, n) boolean adjacency matrices of an (N, n, W) array
+    from ``pack_rows``, or of an (N, n) one for n < 64."""
+    octets = (words if words.ndim == 3 else words[:, :, None]).astype("<i8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=words.shape[1], bitorder="little").view(bool)
 
 
-def _search_slice(rows: np.ndarray, width: int, blocks: int, source: np.ndarray,
-                  full: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three arrays of ``bfs_arrays`` for one slice of an (N, n, W)
-    array, whose tables it frees on return."""
-    table = _frontier_tables(rows, width, blocks)
-    # row of vertex subset c of block b of graph k: (k * blocks + b) * 2^width + c
-    offsets = [np.arange(b, len(rows) * blocks, blocks)[:, None] << width for b in range(blocks)]
-    total = np.zeros(len(rows), np.int64)
-    depth_max = np.zeros(len(rows), np.int64)
-    frontier = np.broadcast_to(source, rows.shape)
-    unseen = full ^ frontier  # per source: the vertices not reached yet
-    flat = len(rows), rows.shape[1] * rows.shape[2]
-    for depth in range(1, rows.shape[1]):
-        for b, offset in enumerate(offsets):  # a block's bits lie in one word
-            word, shift = divmod(b * width, 64)
-            index = frontier[:, :, word] >> shift
-            index &= (1 << width) - 1
-            index += offset
-            if b:
-                nxt |= table.take(index, axis=0)
-            else:
-                nxt = table.take(index, axis=0)
-        nxt &= unseen
-        frontier = nxt
-        count = np.bitwise_count(frontier.view(np.uint64).reshape(flat)).sum(axis=1, dtype=np.int64)
-        live = count > 0
-        if not live.any():
-            break
-        unseen ^= frontier
-        total += depth * count
-        depth_max[live] = depth
-    return total, depth_max, ~unseen.any(axis=(1, 2))
+def row_words(adj: np.ndarray) -> np.ndarray:
+    """The ``pack_rows`` words of (..., n, n) boolean adjacency matrices."""
+    packed = np.packbits(adj, axis=-1, bitorder="little")
+    words = np.zeros((*adj.shape[:-1], -(-adj.shape[-1] // 64) * 8), np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view("<i8")
 
 
-def slice_shape(n: int) -> tuple[int, int, int]:
-    """The kernel's blocks, block width and graphs per slice at order n:
-    ceil(n / 8) blocks of balanced width, and as many graphs as
-    ``TABLE_ENTRIES`` table words allow."""
-    blocks = -(-n // 8)
-    width = -(-n // blocks)  # 8 from n = 50 on: no block straddles a word
-    return blocks, width, max(1, TABLE_ENTRIES // (blocks * -(-n // 64) << width))
+def symmetric_closures(adj: np.ndarray) -> np.ndarray:
+    """Batched ``Digraph.symmetric_closure`` of an (N, n, n) boolean
+    adjacency stack."""
+    return adj | adj.transpose(0, 2, 1)
+
+
+def distance_stack(adj: np.ndarray) -> np.ndarray:
+    """The all-pairs distances of each graph of an (N, n, n) boolean
+    adjacency stack, as an (N, n, n) int16 array: a batched
+    Floyd–Warshall from 1 on each arrow and a sentinel of 2n elsewhere,
+    which stays on every pair not reached.  Each of the n passes is one
+    numpy operation over the whole stack, whose inner loops run along
+    the axis innermost in memory, so the stack is stored as (n, n, N),
+    batch axis last, while N >= n, and batch-first below.  Distances
+    stay below n <= ``ORDER_CAP``, so every d + d, the sentinel's
+    included, fits in int16."""
+    count, n = adj.shape[:2]
+    memory = (1, 2, 0) if count >= n else (0, 1, 2)  # the stored axes, outermost first
+    dist = np.where(np.ascontiguousarray(adj.transpose(memory)), np.int16(1), np.int16(2 * n))
+    dist = dist.transpose(np.argsort(memory))
+    dist[:, np.arange(n), np.arange(n)] = 0
+    for k in range(n):
+        np.minimum(dist, dist[:, :, k, None] + dist[:, None, k], out=dist)
+    return dist
+
+
+def _slice_sums(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three arrays of ``bfs_arrays`` for one slice, an (N, n, n)
+    boolean adjacency stack."""
+    dist = distance_stack(adj)
+    reached = dist < 2 * adj.shape[1]
+    dist *= reached
+    return (dist.sum(axis=(1, 2), dtype=np.int64), dist.max(axis=(1, 2)).astype(np.int64),
+            reached.all(axis=(1, 2)))
 
 
 def bfs_built(n: int, *parts: tuple[int, Callable[[int, int], np.ndarray]]
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel of ``bfs_arrays`` over a stream of graphs of order n
-    made of ``parts`` in turn, each a pair (count, build): ``build(lo,
-    hi)`` returns the (hi - lo, n, W) array, or (hi - lo, n) for n < 64,
-    of the part's graphs lo to hi - 1.  Each slice of as many graphs as
-    ``slice_shape`` allows is built from every part, with an empty range
-    where it does not reach one.  Returns the three joined arrays of
-    ``bfs_arrays``.  No slice or table outlives its search, so a stream
-    built on the fly never holds more than one slice of its graphs."""
-    blocks, width, step = slice_shape(n)
-    source, full = pack_rows([tuple(1 << i for i in range(n)), ((1 << n) - 1,) * n], n)
+    """The three arrays of ``bfs_arrays`` over a stream of graphs of
+    order n made of ``parts`` in turn, each a pair (count, build):
+    ``build(lo, hi)`` returns the (hi - lo, n, n) boolean adjacency
+    stack of the part's graphs lo to hi - 1.  Each slice of
+    ``TABLE_ENTRIES`` // n² graphs, at least one, is built from every
+    part, with an empty range where it does not reach one, and searched
+    by ``_slice_sums``.  No slice outlives its search, so a stream built
+    on the fly never holds more than one slice of its graphs."""
+    step = max(1, TABLE_ENTRIES // (n * n))
     starts = list(accumulate((count for count, _ in parts), initial=0))
     out = []
     for lo in range(0, starts[-1], step) or (0,):  # no graphs: one empty slice
         hi = min(lo + step, starts[-1])
-        pieces = [build(min(max(lo - start, 0), count), min(max(hi - start, 0), count))
-                  for start, (count, build) in zip(starts, parts)]
-        rows = np.concatenate([p if p.ndim == 3 else p[:, :, None] for p in pieces])
-        out.append(_search_slice(rows, width, blocks, source, full))
+        adj = np.concatenate([build(min(max(lo - start, 0), count), min(max(hi - start, 0), count))
+                              for start, (count, build) in zip(starts, parts)])
+        out.append(_slice_sums(adj))
     return tuple(map(np.concatenate, zip(*out)))
 
 
 def bfs_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Breadth-first search from every source of every graph in ``rows``.
+    """All-pairs distances of every graph in ``rows``.
 
     ``rows`` is an (N, n, W) int64 array from ``pack_rows``, or an (N, n)
     one for n < 64, read as W = 1; ``rows[k, i]`` is the out-neighbour
-    mask of vertex i in graph k.  The level recurrence is that of
-    ``bfs_levels``, run for all N * n sources at once: the next frontier
-    is the OR of the rows of the frontier's vertices, less the vertices
-    seen.  Each graph gets a lookup table per block of w vertices
-    holding that OR for all 2^w subsets of the block, so a level costs
-    one gather per block; the search stops once no source has a
-    frontier left.  There are ceil(n / 8) blocks of w = ceil(n / blocks)
-    vertices, w = 8 from n = 50 on.  Graphs go through in slices of at
-    most ``TABLE_ENTRIES`` table words (``bfs_built``).  Returns, per
-    graph, the sum of the distances reached, the largest depth reached
-    (the diameter of a strongly connected graph) and whether every source
-    reached every vertex.
+    mask of vertex i in graph k.  The graphs go through
+    ``distance_stack`` in slices of at most ``TABLE_ENTRIES`` matrix
+    entries (``bfs_built``).  Returns, per graph, the sum of the
+    distances of the pairs reached, the largest of them (the diameter of
+    a strongly connected graph) and whether every vertex reached every
+    vertex.
     """
-    return bfs_built(rows.shape[1], (len(rows), lambda lo, hi: rows[lo:hi]))
-
-
-def closure_array(rows: np.ndarray) -> np.ndarray:
-    """Batched ``Digraph.symmetric_closure``: rows | transpose(rows) for
-    an (N, n) or (N, n, W) array of row masks, in the same shape."""
-    words = rows if rows.ndim == 3 else rows[:, :, None]
-    n = rows.shape[1]
-    vertices = np.arange(n)
-    closure = words.copy()
-    for i in range(n):  # arrow i -> j adds j -> i
-        bits = words[:, i, vertices >> 6] >> (vertices & 63) & 1
-        closure[:, :, i >> 6] |= bits << (i & 63)
-    return closure.reshape(rows.shape)
+    return bfs_built(rows.shape[1], (len(rows), lambda lo, hi: adjacency(rows[lo:hi])))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ average distance.  Averages and quotients are exact ``Fraction`` values
 so equality cases of the extremal statements stay decidable.
 ``price_arrays`` prices a batch of graphs of one order and of their
 closures in int64; for the distance invariants the graphs and then
-their closures are one kernel stream (``digraph.bfs_built``).
+their closures are one stream of the batched Floyd–Warshall
+(``digraph.bfs_built``), each closure built from its graph's decoded
+adjacency.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .digraph import Digraph, bfs_built, bfs_levels, closure_array
+from .digraph import Digraph, adjacency, bfs_built, bfs_levels, row_words, symmetric_closures
 from .distances import bfs_row_sum
 from .errors import DomainError, SizeError
 
@@ -148,14 +150,16 @@ def price_arrays(rows: np.ndarray, invariant: str) -> tuple[np.ndarray, np.ndarr
     scalar functions do: the N graphs and then their N closures are the
     two parts of one ``bfs_built`` stream, each slice's closures built
     from only the graphs it covers, so no more than a slice of closures
-    is held at once.  Domination takes any graph."""
+    is held at once.  Domination takes any graph; its closures' row
+    masks come from the same decoded adjacency."""
     if invariant == "domination":
-        return _domination_array(rows), _domination_array(closure_array(rows))
+        return _domination_array(rows), _domination_array(row_words(symmetric_closures(adjacency(rows))))
     if invariant not in ("transmission", "diameter"):
         raise ValueError(f"no batched {invariant!r}, expected transmission, diameter or domination")
     count = len(rows)
-    total, depth_max, reached = bfs_built(rows.shape[1], (count, lambda lo, hi: rows[lo:hi]),
-                                          (count, lambda lo, hi: closure_array(rows[lo:hi])))
+    total, depth_max, reached = bfs_built(
+        rows.shape[1], (count, lambda lo, hi: adjacency(rows[lo:hi])),
+        (count, lambda lo, hi: symmetric_closures(adjacency(rows[lo:hi]))))
     if not reached[:count].all():
         raise DomainError(f"graph {rows[~reached[:count]][0].tolist()} not strongly connected")
     values = total if invariant == "transmission" else depth_max

@@ -34,20 +34,20 @@ few survivors meet the rest of the group in blocks.
 
 The surviving codes are decoded, one bit plane at a time, into an (N, n)
 int64 array of adjacency row masks; the strong-connectivity filter is
-the reached-all flag of the batched kernel ``digraph.bfs_arrays``.  Each
-decoded slice becomes graphs through ``Digraph.from_row_array``, which
-checks the slice once as an array, not each class one by one.
+the reached-all flag of the batched distances ``digraph.bfs_arrays``.
+Each decoded slice becomes graphs through ``Digraph.from_row_array``,
+which checks the slice once as an array, not each class one by one.
 
 The exhaustive reports (``verify_conjecture``, ``verify_theorems``,
 ``exhaustive_search``) each read one enumeration into such a row array
 (``_class_rows``) and make one scan step (``_scan``): price every class
-at once with ``invariants.price_arrays`` (batched BFS, domination and
-closure, all int64; the classes and then their closures are one kernel
-stream) and rank the difference prices.  Every graph a report names
-(each maximiser, top entry and counterexample) is priced again by the
-scalar ``price``, and a disagreement raises InvariantViolation.  Single
-graphs keep the scalar path: ``digraph.bfs_levels`` stays the only
-scalar frontier loop.
+at once with ``invariants.price_arrays`` (batched distances, domination
+and closure, all int64; the classes and then their closures are one
+``digraph.bfs_built`` stream) and rank the difference prices.  Every
+graph a report names (each maximiser, top entry and counterexample) is
+priced again by the scalar ``price``, and a disagreement raises
+InvariantViolation.  Single graphs keep the scalar path:
+``digraph.bfs_levels`` stays the only scalar frontier loop.
 
 The hill climber is a deterministic steepest-ascent search with warm
 starts from the known extremal families plus seeded random restarts.  A
@@ -58,8 +58,9 @@ evaluations.  The climbs run in lockstep (``_climb_group``): each round
 is one ``_step`` of every live climb, and ``_evaluated`` prices the
 round's moves of all climbs as one batch.  Each round builds the exact
 all-pairs distance matrices of its graphs and, for the distance
-objectives, of their closures Ḡ once, as int16, by a batched
-Floyd–Warshall (``_distances``).  Adding an arrow u -> v only shortens
+objectives, of their closures Ḡ once, as int16, by the package's one
+batched Floyd–Warshall (``_distances``, over
+``digraph.distance_stack``).  Adding an arrow u -> v only shortens
 paths, d'(s, t) = min(d(s, t), d(s, u) + 1 + d(v, t)), the insertion step
 of dynamic all-pairs shortest paths (Ausiello, Italiano,
 Marchetti-Spaccamela & Nanni, J. Algorithms 1991; Demetrescu & Italiano,
@@ -73,17 +74,17 @@ the one pair {u, v} toggled (the removal of a one-way arrow, or an
 addition on an empty pair), so it is keyed by that pair and each
 distinct closure is priced once.  The prefix's removals and reversals
 and the distinct closures that remove an edge of Ḡ, built from the
-words of Ḡ, go through the kernel as one ``digraph.bfs_built`` stream of
-two parts, built one slice at a time, whose reached-all flags drop the
-neighbours that are not strongly connected; domination sends the
-removals and reversals alone and prices the evaluated graphs and their
-closures in one ``_domination_array`` scan.  The starts of all
-climbs are priced together by ``invariants.price_arrays`` before any
-climb is dispatched.  The climbs are dealt round-robin into
-``min(worker_count(), cores, climbs)`` groups, but no more than one per
-``_GROUP_MOVES`` moves a round (climbs times ``min(cap, n * n)``): a
-smaller round is bound by the kernel's cost per numpy call, so a second
-process only adds a fork.  Each group runs in its own process, or in
+round's boolean adjacency stacks, go through the same Floyd–Warshall as
+one ``digraph.bfs_built`` stream of two parts, built one slice at a
+time, whose reached-all flags drop the neighbours that are not strongly
+connected; domination sends the removals and reversals alone and prices
+the evaluated graphs and their closures in one ``_domination_array``
+scan.  The starts of all climbs are priced together by
+``invariants.price_arrays`` before any climb is dispatched.  The climbs
+are dealt round-robin into ``min(worker_count(), cores, climbs)``
+groups, but no more than one per ``_GROUP_MOVES`` moves a round (climbs
+times ``min(cap, n * n)``): a smaller round is bound by the cost per
+numpy call, so a second process only adds a fork.  Each group runs in its own process, or in
 this process when there is one group.  Only the climbs that end at the
 best value get a canonical form (``_dedup_key``), to merge isomorphic
 maximisers.
@@ -100,8 +101,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .digraph import (ISO_ORDER_CAP, TABLE_ENTRIES, Digraph, bfs_arrays, bfs_built, canonical_form,
-                      check_order, pack_rows)
+from .digraph import (ISO_ORDER_CAP, TABLE_ENTRIES, Digraph, adjacency, bfs_arrays, bfs_built,
+                      canonical_form, check_order, distance_stack, pack_rows, row_words, symmetric_closures)
 from .errors import InvariantViolation, SizeError
 # OBJECTIVES stays importable from here for callers of the search API
 from .invariants import (OBJECTIVES, _domination_array, check_domination_order,  # noqa: F401
@@ -114,8 +115,8 @@ _CHUNK_BITS = 22  # codes per scan chunk, as a power of two (32 MB of int64)
 _STAGE1_PERMS = 48  # permutations in the per-chunk pre-filter, and in each later block
 _DECODE_CHUNK = 1 << 15  # codes decoded per slice, to bound the rows and graphs held at once
 # moves a climb group's round must hold before a second group, and process,
-# pays: below it the kernel's cost per numpy call, not the data, sets a
-# round's time.  On two cores, 15 climbs at n = 12 (2160 moves a round)
+# pays: below it the cost per numpy call, not the data, sets a round's
+# time.  On two cores, 15 climbs at n = 12 (2160 moves a round)
 # ran faster in one process and 23 at n = 20 (9200) faster in two.
 _GROUP_MOVES = 4096
 
@@ -452,26 +453,6 @@ def random_strongly_connected(n: int, rng: random.Random, extra: float = 0.3) ->
     return Digraph(n, tuple(rows))
 
 
-def _adjacency(words: np.ndarray) -> np.ndarray:
-    """The (N, n, n) boolean adjacency matrices of a ``pack_rows`` array."""
-    return np.unpackbits(words.astype("<i8").view(np.uint8), axis=-1, count=words.shape[1],
-                         bitorder="little").astype(bool)
-
-
-def _words(adj: np.ndarray) -> np.ndarray:
-    """The ``pack_rows`` words of (..., n, n) boolean adjacency matrices."""
-    n = adj.shape[-1]
-    bits = np.zeros((*adj.shape[:-1], -(-n // 64) * 64), bool)
-    bits[..., :n] = adj
-    return np.packbits(bits, axis=-1, bitorder="little").view("<i8")
-
-
-def _toggle(batch: np.ndarray, copy: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """Flip the arrow u[i] -> v[i] of graph copy[i] of a ``pack_rows``
-    batch, in place; no (copy, u) pair may repeat."""
-    batch[copy, u, v >> 6] ^= 1 << (v & 63)
-
-
 def _neighbours(adj: np.ndarray):
     """The single-arrow moves of each graph of a (C, n, n) boolean
     adjacency stack, graph by graph, in the climber's order: removals in
@@ -496,50 +477,45 @@ def _neighbours(adj: np.ndarray):
     return climb, kind, u, v, pos, climb * (n * n + 1) + pair
 
 
-def _moved(words: np.ndarray, climb, kind, u, v) -> np.ndarray:
+def _moved(adj: np.ndarray, climb, kind, u, v) -> np.ndarray:
     """The graphs that moves of ``_neighbours`` make: a copy of the
-    words of the move's graph with u -> v flipped, and v -> u as well
-    for a reversal."""
-    batch = words[climb]
+    adjacency of the move's graph with u -> v flipped, and v -> u as
+    well for a reversal."""
+    batch = adj[climb]
     copy = np.arange(len(climb))
-    _toggle(batch, copy, u, v)
+    batch[copy, u, v] ^= True
     rev = kind == 2
-    _toggle(batch, copy[rev], v[rev], u[rev])
+    batch[copy[rev], v[rev], u[rev]] ^= True
     return batch
 
 
-def _closures(sym_words: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def _closures(sym: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The closures with the given ``_neighbours`` keys: a copy of the
-    words of its graph's Ḡ, from ``sym_words``, with the key's pair
+    adjacency of its graph's Ḡ, from ``sym``, with the key's pair
     toggled in both directions."""
-    n = sym_words.shape[1]
+    n = sym.shape[1]
     climb, pair = np.divmod(keys, n * n + 1)
-    batch = sym_words[climb]
+    batch = sym[climb]
     copy = np.flatnonzero(pair < n * n)
     u, v = np.divmod(pair[copy], n)
-    _toggle(batch, copy, u, v)
-    _toggle(batch, copy, v, u)
+    batch[copy, u, v] ^= True
+    batch[copy, v, u] ^= True
     return batch
 
 
 def _distances(adj: np.ndarray) -> np.ndarray:
     """The exact all-pairs distances of each graph of a (C, n, n) boolean
-    adjacency stack, as a (C, n, n) int16 array: a batched Floyd–Warshall
-    over the stack, from 1 on each arrow and a sentinel of 2n elsewhere.
-    Distances stay below n <= ``ORDER_CAP``, so every d + d + 1, the
-    sentinel's included, fits in int16.  A graph that is not strongly
-    connected keeps the sentinel somewhere and raises InvariantViolation,
+    adjacency stack, as a (C, n, n) int16 array from
+    ``digraph.distance_stack``, stored batch-first, as ``_inserted``
+    gathers whole matrices.  A graph that is not strongly connected
+    keeps its sentinel of 2n somewhere and raises InvariantViolation,
     since the climber's graphs and their closures all are."""
-    n = adj.shape[1]
-    dist = np.where(adj, np.int16(1), np.int16(2 * n))
-    dist[:, np.arange(n), np.arange(n)] = 0
-    for k in range(n):
-        np.minimum(dist, dist[:, :, k, None] + dist[:, None, k, :], out=dist)
-    unreached = (dist == 2 * n).any(axis=(1, 2))
+    dist = distance_stack(adj)
+    unreached = (dist == 2 * adj.shape[1]).any(axis=(1, 2))
     if unreached.any():
         raise InvariantViolation(
             f"graph {int(unreached.argmax())} of a climb round is not strongly connected")
-    return dist
+    return np.ascontiguousarray(dist)
 
 
 def _tree_arrows(adj: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -616,25 +592,25 @@ def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
     by its kind.  An addition, a closure that adds the edge {u, v} to Ḡ
     and Ḡ itself are priced from the distance matrices (``_inserted``,
     ``_value``).  The prefix's removals and reversals and the distinct
-    closures that remove an edge of Ḡ go through the kernel as one
-    ``bfs_built`` stream of two parts, whose reached-all flags drop the
-    removals and reversals that are not strongly connected.  Domination
-    sends the removals and reversals alone, and prices the evaluated
-    graphs and their closures in one ``_domination_array`` call."""
+    closures that remove an edge of Ḡ, built from the round's adjacency
+    stack, go through one ``bfs_built`` stream of two parts, whose
+    reached-all flags drop the removals and reversals that are not
+    strongly connected.  Domination sends the removals and reversals
+    alone, and prices the evaluated graphs and their closures in one
+    ``_domination_array`` call."""
     count, n = adj.shape[:2]
     climb, kind, u, v, pos, key = _neighbours(adj)
     dist = _distances(adj)
     known = (kind == 1) | ~_tree_arrows(adj, dist)[climb, u, v]
     prefix = _ranks(known, pos) < remaining[climb]
-    sym = adj | adj.transpose(0, 2, 1)
-    words, sym_words = _words(adj), _words(sym)
+    sym = symmetric_closures(adj)
     toggles = key % (n * n + 1) < n * n  # the move's closure is not Ḡ itself
     cut = toggles & (kind == 0)  # its closure is Ḡ less the edge {u, v}
 
     def parts(moves: np.ndarray, keys: np.ndarray):
         """The moved graphs of ``moves``, then the closures with ``keys``."""
-        return ((len(moves), lambda lo, hi: _moved(words, *(a[moves[lo:hi]] for a in (climb, kind, u, v)))),
-                (len(keys), lambda lo, hi: _closures(sym_words, keys[lo:hi])))
+        return ((len(moves), lambda lo, hi: _moved(adj, *(a[moves[lo:hi]] for a in (climb, kind, u, v)))),
+                (len(keys), lambda lo, hi: _closures(sym, keys[lo:hi])))
 
     def distinct(keys: np.ndarray) -> np.ndarray:
         """The closure keys ``keys``, each once, ascending."""
@@ -650,7 +626,8 @@ def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
     taken = np.flatnonzero(strong & (_ranks(strong, pos) < remaining[climb]))
     if invariant == "domination":
         keys = distinct(key[taken])
-        values = _domination_array(np.concatenate([build(0, size) for size, build in parts(taken, keys)]))
+        built = np.concatenate([build(0, size) for size, build in parts(taken, keys)])
+        values = _domination_array(row_words(built))
         value_g, value_sym = values[:len(taken)], values[len(taken) + np.searchsorted(keys, key[taken])]
     else:
         values = total if invariant == "transmission" else depth_max
@@ -707,7 +684,7 @@ def _climb_group(job) -> list[tuple[int, int, tuple[int, ...]]]:
         adj[better[rev], v[rev], u[rev]] ^= True
         value[better] = best
         live = better[evals[better] < cap]
-    return [(val, ev, tuple(int.from_bytes(r.tobytes(), "little") for r in _words(a)))
+    return [(val, ev, tuple(int.from_bytes(r.tobytes(), "little") for r in row_words(a)))
             for a, val, ev in zip(adj, value.tolist(), evals.tolist())]
 
 
@@ -752,7 +729,7 @@ def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int 
     words = pack_rows([g.rows for _, g in starts], n)
     value_g, value_sym = price_arrays(words, invariant)
     start_values = np.abs(value_g - value_sym).tolist()
-    adj = _adjacency(words)
+    adj = adjacency(words)
     # starts dealt round-robin: group k climbs starts k, k + groups, ...;
     # a climb searches about min(cap, n * n) moves a round
     groups = min(threads, os.cpu_count() or 1, len(starts),

@@ -26,10 +26,12 @@ def objective_fn(name: str):
 
 
 def spy_kernel(monkeypatch):
-    """The rows of every slice the batched kernel searches from now on."""
+    """The graphs of every slice the batched distance engine searches
+    from now on, each slice as the (N, n, W) ``pack_rows`` words of its
+    graphs in stream order."""
     slices = []
-    kernel = digraph._search_slice
-    monkeypatch.setattr(digraph, "_search_slice", lambda rows, *a: slices.append(rows.copy()) or kernel(rows, *a))
+    kernel = digraph._slice_sums
+    monkeypatch.setattr(digraph, "_slice_sums", lambda adj: slices.append(digraph.row_words(adj)) or kernel(adj))
     return slices
 
 

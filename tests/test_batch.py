@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symprice.digraph import Digraph, bfs_arrays, bfs_built, closure_array, pack_rows
+from symprice.digraph import (ORDER_CAP, TABLE_ENTRIES, Digraph, adjacency, bfs_arrays, bfs_built, pack_rows,
+                              row_words, symmetric_closures)
 from symprice.distances import all_pairs_distances
-from symprice import digraph, invariants
+from symprice import formulas, invariants
 from symprice.errors import DomainError
+from symprice.families import check_closed_forms, path
 from symprice.invariants import INVARIANTS, diameter, price_arrays, transmission
 from symprice.search import enumerate_digraphs, enumerate_tournaments, random_strongly_connected
 
@@ -28,7 +30,7 @@ def check_batch(graphs):
     n = graphs[0].n
     rows = np.array([g.rows for g in graphs], dtype=np.int64).reshape(len(graphs), n)
     closures = [g.symmetric_closure() for g in graphs]
-    assert closure_array(rows).tolist() == [list(h.rows) for h in closures]
+    assert row_words(symmetric_closures(adjacency(rows)))[:, :, 0].tolist() == [list(h.rows) for h in closures]
     _, _, reached = bfs_arrays(rows)
     assert reached.tolist() == [g.is_strongly_connected() for g in graphs]
     strong_graphs = [g for g, ok in zip(graphs, reached) if ok]
@@ -99,11 +101,22 @@ def test_kernel_against_scalar_bfs_at_word_boundaries(n):
                                            [transmission(g.symmetric_closure()) for g in graphs[:3]]]
 
 
+def test_distance_engine_at_the_order_cap():
+    # int16 distances hold at ORDER_CAP: the sentinel of 2n on the pairs a
+    # path leaves unreached, and every d + d up to 4n
+    n = ORDER_CAP
+    (check,) = check_closed_forms([f"cycle:{n}"])
+    assert check.bfs == check.forms == (formulas.sigma_cycle(n), formulas.sigma_cycle_sym(n))
+    total, depth, reached = bfs_arrays(pack_rows([path(n).rows], n))
+    assert reached.tolist() == [False]
+    assert (total.tolist(), depth.tolist()) == ([(n + 1) * n * (n - 1) // 6], [n - 1])
+
+
 def test_kernel_slices_match_whole(monkeypatch):
-    # more graphs than one kernel slice: the slices must join seamlessly,
-    # also at orders whose blocks are balanced (a slice holds 1024 graphs
-    # in two blocks of 6 at n = 12, 341 in three of 7 at n = 20) and at a
-    # wide order, where a slice holds a few graphs; copies of the batch
+    # more graphs than one slice of the distance engine: the slices must
+    # join seamlessly (a slice holds TABLE_ENTRIES // n² graphs: 5242 at
+    # n = 5, 910 at n = 12, 327 at n = 20) also at a wide order, where a
+    # slice holds a few graphs (13 at n = 100); copies of the batch
     # straddle slices
     small = np.array([g.rows for g in enumerate_digraphs(5, strongly_connected=False)], dtype=np.int64)
     balanced = [pack_rows([g.rows for g in wide_graphs(n)], n) for n in (12, 20)]
@@ -122,10 +135,10 @@ def test_kernel_slices_match_whole(monkeypatch):
 
 def test_bfs_built_searches_its_parts_as_one_array(monkeypatch):
     # a stream of parts is searched as the concatenation of the parts, in
-    # slices that cross part boundaries, with pieces of (k, n) and
-    # (k, n, W) arrays mixed
+    # slices that cross part boundaries, with pieces decoded from (k, n)
+    # and (k, n, W) arrays mixed
     n = 12
-    step = digraph.slice_shape(n)[2]
+    step = TABLE_ENTRIES // (n * n)
     batch = pack_rows([g.rows for g in wide_graphs(n)], n)
 
     cases = [
@@ -141,7 +154,7 @@ def test_bfs_built_searches_its_parts_as_one_array(monkeypatch):
         whole = np.concatenate(parts)
         slices.clear()
         built = bfs_built(n, *((len(rows), lambda lo, hi, rows=rows, flat=flat:
-                                rows[lo:hi, :, 0] if flat else rows[lo:hi])
+                                adjacency(rows[lo:hi, :, 0] if flat else rows[lo:hi]))
                                for rows, (_, flat) in zip(parts, case)))
         assert len(slices) == max(1, -(-len(whole) // step))
         assert np.concatenate(slices).tolist() == whole.tolist()
@@ -154,19 +167,19 @@ def test_price_arrays_holds_one_slice_of_closures(monkeypatch):
     # [lo, lo + step) of the stream of N graphs, then their N closures,
     # builds the closures of graphs lo - N to lo + step - N that exist
     sizes = []
-    closure = invariants.closure_array
-    monkeypatch.setattr(invariants, "closure_array", lambda rows: sizes.append(len(rows)) or closure(rows))
+    closures = invariants.symmetric_closures
+    monkeypatch.setattr(invariants, "symmetric_closures", lambda adj: sizes.append(len(adj)) or closures(adj))
     graphs = wide_graphs(12)[:3]
     rows = pack_rows([g.rows for g in graphs] * 1000, 12)
-    count, step = len(rows), digraph.slice_shape(12)[2]
+    count, step = len(rows), TABLE_ENTRIES // (12 * 12)
     value_g, value_sym = price_arrays(rows, "transmission")
     expected = [max(0, min(lo + step, 2 * count) - max(lo, count)) for lo in range(0, 2 * count, step)]
-    assert sizes == expected == [0, 0, 72, 1024, 1024, 880]
+    assert sizes == expected == [0, 0, 0, 640, 910, 910, 540]
     assert value_g.tolist() == [transmission(g) for g in graphs] * 1000
     assert value_sym.tolist() == [transmission(g.symmetric_closure()) for g in graphs] * 1000
 
 
-@pytest.mark.parametrize("n, copies, one_word", [(5, 1500, True), (65, 10, False)])
+@pytest.mark.parametrize("n, copies, one_word", [(5, 2000, True), (65, 20, False)])
 def test_price_arrays_is_one_stream_graphs_first(monkeypatch, n, copies, one_word):
     # the N graphs and then their N closures go through the kernel as one
     # stream of ceil(2N / step) slices, on (N, n) and (N, n, W) input; at
@@ -175,9 +188,10 @@ def test_price_arrays_is_one_stream_graphs_first(monkeypatch, n, copies, one_wor
     rows = packed[:, :, 0] if one_word else packed
     slices = spy_kernel(monkeypatch)
     price_arrays(rows, "diameter")
-    step = digraph.slice_shape(n)[2]
+    step = TABLE_ENTRIES // (n * n)
+    closed = row_words(symmetric_closures(adjacency(packed)))
     assert len(slices) == -(-2 * len(rows) // step) > 2
-    assert np.concatenate(slices).tolist() == np.concatenate([packed, closure_array(packed)]).tolist()
+    assert np.concatenate(slices).tolist() == np.concatenate([packed, closed]).tolist()
 
 
 def test_pack_rows_splits_rows_into_words():
@@ -186,6 +200,8 @@ def test_pack_rows_splits_rows_into_words():
     assert packed.shape == (1, 65, 2) and packed.dtype == np.int64
     assert packed[0, [0, 1, 2, 63, 64]].view(np.uint64).tolist() == [
         [1 << 63 | 2, 1], [1, 0], [1 << 63, 1], [0, 0], [4, 0]]
-    assert (closure_array(packed) == pack_rows([g.symmetric_closure().rows], 65)).all()
+    assert adjacency(packed)[0].tolist() == [[bool(row >> j & 1) for j in range(65)] for row in g.rows]
+    assert (row_words(adjacency(packed)) == packed).all()
+    assert (row_words(symmetric_closures(adjacency(packed))) == pack_rows([g.symmetric_closure().rows], 65)).all()
     assert pack_rows([], 65).shape == (0, 65, 2)
     assert [p.tolist() for p in bfs_arrays(pack_rows([], 65))] == [[], [], []]
