@@ -4,26 +4,25 @@ A digraph on n vertices (labelled 0..n-1) stores its adjacency as n row
 bitsets: bit j of ``rows[i]`` is set iff the arrow (i, j) is present.
 Instances are immutable values; every mutator returns a new graph.
 
-Batches of graphs of one order are (N, n, W) int64 arrays, W = ceil(n /
-64) words per row (``pack_rows``), or (N, n, n) boolean adjacency stacks
-(``adjacency``; ``row_words`` packs them back).  ``distance_stack`` is
-the package's one batched all-pairs loop: a Floyd–Warshall (Floyd, CACM
-1962) over an int16 stack of N graphs, stored with the batch axis last
-while N >= n, so each of its n passes is one numpy operation over the
-whole stack with inner loops along the batch.  It always makes n
-passes, where a breadth-first search would stop at the diameter; that
-is the price of one engine for dense graphs of large order.
-``bfs_built`` is the one place graphs enter it in bulk: a stream of
-parts, such as a batch of graphs and then their closures, each slice
-built from the parts it covers, searched and joined into distance sums,
-maxima and reached-all flags; ``bfs_arrays`` is the stream of one part,
-an array's own rows.  ``bfs_levels`` is the scalar frontier loop for
-single graphs.
+A batch of graphs of one order is an (N, n, n) boolean adjacency stack.
+``adjacency_stack`` builds one from row tuples at any order and
+``stack_rows`` is its inverse; ``Digraph.from_stack`` makes graphs of a
+stack.  ``distance_stack`` is the package's one batched all-pairs loop:
+a Floyd–Warshall (Floyd, CACM 1962) over an int16 stack of N graphs,
+stored with the batch axis last while N >= n, so each of its n passes is
+one numpy operation over the whole stack with inner loops along the
+batch.  It always makes n passes, where a breadth-first search would
+stop at the diameter; that is the price of one engine for dense graphs
+of large order.  ``distance_stream`` is the one place graphs enter it
+in bulk: a stream of parts, such as a batch of graphs and then their
+closures, each slice built from the parts it covers, searched and joined
+into distance sums, maxima and reached-all flags.  ``bfs_levels`` is the
+scalar frontier loop for single graphs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -32,8 +31,7 @@ from .errors import SizeError
 
 ISO_ORDER_CAP = 10  # canonical forms are only claimed up to this order
 ORDER_CAP = 1000  # orders read from family specs and graph files; ladder timings in README
-TABLE_ENTRIES = 1 << 17  # distance entries, n * n a graph, per slice of bfs_built: bounds memory
-_WORD = (1 << 64) - 1
+TABLE_ENTRIES = 1 << 17  # distance entries, n * n a graph, per slice of distance_stream: bounds memory
 
 
 def check_order(n: int) -> None:
@@ -78,28 +76,28 @@ def bfs_levels(rows: tuple[int, ...], s: int, allowed: int) -> Iterator[int]:
         seen |= frontier
 
 
-def pack_rows(rows: Iterable[tuple[int, ...]], n: int) -> np.ndarray:
-    """The row tuples of graphs of order n as the (N, n, W) int64 array
-    of ``bfs_arrays``, W = ceil(n / 64): word k of a row holds its bits
-    64k to 64k + 63, the last one in the sign bit."""
-    words = -(-n // 64)
-    flat = [r >> 64 * k & _WORD for row in rows for r in row for k in range(words)]
-    return np.array(flat, dtype=np.uint64).view(np.int64).reshape(-1, n, words)
+def adjacency_stack(rows: Iterable[tuple[int, ...]], n: int) -> np.ndarray:
+    """The (N, n, n) boolean adjacency stack of the graphs of order n
+    whose row tuples are ``rows``, in order: entry (k, i, j) is bit j of
+    row i of graph k.  The inverse of ``stack_rows``."""
+    masks = chain.from_iterable(rows)
+    if n > 64:  # a row spans several 64-bit words, low word first
+        masks = (r >> k & 0xFFFF_FFFF_FFFF_FFFF for r in masks for k in range(0, n, 64))
+    words = np.fromiter(masks, np.uint64).astype("<u8", copy=False).reshape(-1, n, -(-n // 64))
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
 
 
-def adjacency(words: np.ndarray) -> np.ndarray:
-    """The (N, n, n) boolean adjacency matrices of an (N, n, W) array
-    from ``pack_rows``, or of an (N, n) one for n < 64."""
-    octets = (words if words.ndim == 3 else words[:, :, None]).astype("<i8").view(np.uint8)
-    return np.unpackbits(octets, axis=-1, count=words.shape[1], bitorder="little").view(bool)
-
-
-def row_words(adj: np.ndarray) -> np.ndarray:
-    """The ``pack_rows`` words of (..., n, n) boolean adjacency matrices."""
-    packed = np.packbits(adj, axis=-1, bitorder="little")
-    words = np.zeros((*adj.shape[:-1], -(-adj.shape[-1] // 64) * 8), np.uint8)
-    words[..., :packed.shape[-1]] = packed
-    return words.view("<i8")
+def stack_rows(adj: np.ndarray) -> list[tuple[int, ...]]:
+    """The row tuples of the graphs of an (N, n, n) boolean adjacency
+    stack, in order.  The inverse of ``adjacency_stack``."""
+    n = adj.shape[-1]
+    octets = np.zeros((*adj.shape[:-1], -(-n // 64) * 8), np.uint8)
+    octets[..., :-(-n // 8)] = np.packbits(adj, axis=-1, bitorder="little")
+    words = octets.view("<u8")
+    masks = words[..., -1].astype(object)
+    for k in range(words.shape[-1] - 2, -1, -1):  # a row's lower words, highest first
+        masks = masks << 64 | words[..., k]
+    return list(map(tuple, masks.tolist()))
 
 
 def symmetric_closures(adj: np.ndarray) -> np.ndarray:
@@ -129,7 +127,7 @@ def distance_stack(adj: np.ndarray) -> np.ndarray:
 
 
 def _slice_sums(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three arrays of ``bfs_arrays`` for one slice, an (N, n, n)
+    """The three arrays of ``distance_stream`` for one slice, an (N, n, n)
     boolean adjacency stack."""
     dist = distance_stack(adj)
     reached = dist < 2 * adj.shape[1]
@@ -138,16 +136,19 @@ def _slice_sums(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             reached.all(axis=(1, 2)))
 
 
-def bfs_built(n: int, *parts: tuple[int, Callable[[int, int], np.ndarray]]
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three arrays of ``bfs_arrays`` over a stream of graphs of
-    order n made of ``parts`` in turn, each a pair (count, build):
-    ``build(lo, hi)`` returns the (hi - lo, n, n) boolean adjacency
-    stack of the part's graphs lo to hi - 1.  Each slice of
-    ``TABLE_ENTRIES`` // n² graphs, at least one, is built from every
-    part, with an empty range where it does not reach one, and searched
-    by ``_slice_sums``.  No slice outlives its search, so a stream built
-    on the fly never holds more than one slice of its graphs."""
+def distance_stream(n: int, *parts: tuple[int, Callable[[int, int], np.ndarray]]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All-pairs distances of a stream of graphs of order n made of
+    ``parts`` in turn, each a pair (count, build): ``build(lo, hi)``
+    returns the (hi - lo, n, n) boolean adjacency stack of the part's
+    graphs lo to hi - 1.  Each slice of ``TABLE_ENTRIES`` // n² graphs,
+    at least one, is built from every part, with an empty range where it
+    does not reach one, and searched by ``_slice_sums``.  No slice
+    outlives its search, so a stream built on the fly never holds more
+    than one slice of its graphs.  Returns, per graph, the sum of the
+    distances of the pairs reached, the largest of them (the diameter of
+    a strongly connected graph) and whether every vertex reached every
+    vertex."""
     step = max(1, TABLE_ENTRIES // (n * n))
     starts = list(accumulate((count for count, _ in parts), initial=0))
     out = []
@@ -157,21 +158,6 @@ def bfs_built(n: int, *parts: tuple[int, Callable[[int, int], np.ndarray]]
                               for start, (count, build) in zip(starts, parts)])
         out.append(_slice_sums(adj))
     return tuple(map(np.concatenate, zip(*out)))
-
-
-def bfs_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All-pairs distances of every graph in ``rows``.
-
-    ``rows`` is an (N, n, W) int64 array from ``pack_rows``, or an (N, n)
-    one for n < 64, read as W = 1; ``rows[k, i]`` is the out-neighbour
-    mask of vertex i in graph k.  The graphs go through
-    ``distance_stack`` in slices of at most ``TABLE_ENTRIES`` matrix
-    entries (``bfs_built``).  Returns, per graph, the sum of the
-    distances of the pairs reached, the largest of them (the diameter of
-    a strongly connected graph) and whether every vertex reached every
-    vertex.
-    """
-    return bfs_built(rows.shape[1], (len(rows), lambda lo, hi: adjacency(rows[lo:hi])))
 
 
 @dataclass(frozen=True)
@@ -206,32 +192,27 @@ class Digraph:
         return cls(n, tuple(rows))
 
     @classmethod
-    def from_row_array(cls, n: int, rows: np.ndarray) -> list["Digraph"]:
-        """The graphs of order n, 1 <= n < 63, whose rows are those of an
-        (N, n) int64 array, in array order.  The checks of
-        ``__post_init__`` run once over the whole array, with the same
-        error for the first faulty row; the instances are then built
-        without them."""
+    def from_stack(cls, adj: np.ndarray) -> list["Digraph"]:
+        """The graphs of an (N, n, n) boolean adjacency stack, in stack
+        order.  The loop check of ``__post_init__`` runs once over the
+        whole stack, with the same error for the first faulty graph; the
+        instances are then built without the checks."""
+        if adj.dtype != bool:
+            raise ValueError(f"an adjacency stack must be boolean, got {adj.dtype}")
+        n = adj.shape[-1]
         if n < 1:
             raise ValueError(f"order must be >= 1, got {n}")
-        if n >= 63:
-            raise ValueError(f"row arrays hold orders below 63, got {n}")
-        if rows.dtype != np.int64:
-            raise ValueError(f"row masks must be int64, got {rows.dtype}")
-        if rows.ndim != 2 or rows.shape[1] != n:
+        if adj.ndim != 3 or adj.shape[1] != n:
             raise ValueError("adjacency must have exactly n rows")
-        out_of_range = rows & ~((1 << n) - 1) != 0  # negative rows included
-        fault = out_of_range | (rows >> np.arange(n) & 1 == 1)
-        if fault.any():  # row-major: the first instance, then its first row, as one by one
-            k, i = divmod(int(fault.argmax()), n)
-            raise ValueError(f"row {i} references a vertex >= n" if out_of_range[k, i]
-                             else f"loop at vertex {i}")
+        loops = adj.diagonal(axis1=1, axis2=2)
+        if loops.any():  # row-major: the first instance, then its first loop, as one by one
+            raise ValueError(f"loop at vertex {int(loops.argmax()) % n}")
         new, set_field = object.__new__, object.__setattr__  # frozen: set past __setattr__
         graphs = []
-        for r in rows.tolist():
+        for rows in stack_rows(adj):
             g = new(cls)
             set_field(g, "n", n)
-            set_field(g, "rows", tuple(r))
+            set_field(g, "rows", rows)
             graphs.append(g)
         return graphs
 

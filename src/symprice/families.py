@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .digraph import Digraph, canonical_form, check_order, pack_rows
+from .digraph import Digraph, adjacency_stack, canonical_form, check_order
 from .errors import DomainError, SizeError
 from .invariants import price_arrays
 from . import formulas
@@ -263,8 +263,8 @@ def check_closed_forms(specs: list[str]) -> list[ClosedFormCheck]:
         by_order.setdefault(nums[0], []).append(i)
     bfs = {}
     for n, where in by_order.items():
-        rows = pack_rows([FAMILIES[parsed[i][0]](*parsed[i][1]).rows for i in where], n)
-        sigma, sigma_c = price_arrays(rows, "transmission")
+        adj = adjacency_stack((FAMILIES[parsed[i][0]](*parsed[i][1]).rows for i in where), n)
+        sigma, sigma_c = price_arrays(adj, "transmission")
         bfs.update(zip(where, zip(sigma.tolist(), sigma_c.tolist())))
     checks = []
     for i, (name, nums) in enumerate(parsed):

@@ -3,11 +3,11 @@
 Supported invariants: diameter, domination number, transmission and
 average distance.  Averages and quotients are exact ``Fraction`` values
 so equality cases of the extremal statements stay decidable.
-``price_arrays`` prices a batch of graphs of one order and of their
-closures in int64; for the distance invariants the graphs and then
-their closures are one stream of the batched Floyd–Warshall
-(``digraph.bfs_built``), each closure built from its graph's decoded
-adjacency.
+``price_arrays`` prices an (N, n, n) boolean adjacency stack of graphs
+and their closures in int64; for the distance invariants the graphs and
+then their closures are one stream of the batched Floyd–Warshall
+(``digraph.distance_stream``), and domination goes in slices, so no
+more than a slice of closures is built at once.
 """
 from __future__ import annotations
 
@@ -17,7 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .digraph import Digraph, adjacency, bfs_built, bfs_levels, row_words, symmetric_closures
+from .digraph import (TABLE_ENTRIES, Digraph, bfs_levels, distance_stream, stack_rows,
+                      symmetric_closures)
 from .distances import bfs_row_sum
 from .errors import DomainError, SizeError
 
@@ -76,17 +77,15 @@ def domination_number(g: Digraph) -> int:
     raise AssertionError("unreachable: V always dominates")
 
 
-def _domination_array(rows: np.ndarray) -> np.ndarray:
-    """Batched ``domination_number`` over an (N, n) array of row masks, or
-    an (N, n, 1) one from ``pack_rows``: subsets by increasing size, and
-    the first size at which some subset's covers OR to the full mask."""
-    n = rows.shape[1]
+def _domination_array(adj: np.ndarray) -> np.ndarray:
+    """Batched ``domination_number`` of an (N, n, n) boolean adjacency
+    stack: subsets by increasing size, and the first size at which some
+    subset's covers OR to the full mask."""
+    n = adj.shape[1]
     check_domination_order(n)
-    if rows.ndim == 3:  # from pack_rows, with one word per row
-        rows = rows[:, :, 0]
     full = (1 << n) - 1
-    cover = rows | 1 << np.arange(n, dtype=np.int64)
-    found = np.zeros(len(rows), np.int64)  # 0 until a dominating subset is seen
+    cover = (adj | np.eye(n, dtype=bool)) @ (1 << np.arange(n))  # (N, n) masks: out-arrows and self
+    found = np.zeros(len(adj), np.int64)  # 0 until a dominating subset is seen
     for k in range(1, n + 1):
         for subset in combinations(range(n), k):
             hit = np.bitwise_or.reduce(cover[:, subset], axis=1) == full
@@ -142,26 +141,31 @@ def objective_invariant(name: str) -> str:
     return "transmission" if name == "sigma" else name
 
 
-def price_arrays(rows: np.ndarray, invariant: str) -> tuple[np.ndarray, np.ndarray]:
-    """The ``invariant`` values of every graph of an (N, n) array of row
-    masks, or of an (N, n, W) one from ``pack_rows``, and of its
-    symmetric closure, as ``price`` gives them one graph at a time, all
-    int64.  Distance invariants need strongly connected graphs, as their
-    scalar functions do: the N graphs and then their N closures are the
-    two parts of one ``bfs_built`` stream, each slice's closures built
-    from only the graphs it covers, so no more than a slice of closures
-    is held at once.  Domination takes any graph; its closures' row
-    masks come from the same decoded adjacency."""
+def price_arrays(adj: np.ndarray, invariant: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``invariant`` values of every graph of an (N, n, n) boolean
+    adjacency stack and of its symmetric closure, as ``price`` gives
+    them one graph at a time, all int64.  Distance invariants need
+    strongly connected graphs, as their scalar functions do: the N
+    graphs and then their N closures are the two parts of one
+    ``distance_stream``, each slice's closures built from only the
+    graphs it covers.  Domination takes any graph, in slices of
+    ``TABLE_ENTRIES`` // n graphs (n cover masks a graph), each with its
+    closures.  Either way no more than a slice of closures is held at
+    once."""
+    count, n = adj.shape[:2]
     if invariant == "domination":
-        return _domination_array(rows), _domination_array(row_words(symmetric_closures(adjacency(rows))))
+        step = TABLE_ENTRIES // n
+        parts = [adj[lo:lo + step] for lo in range(0, count, step) or (0,)]  # no graphs: one empty slice
+        value_g, value_sym = zip(*((_domination_array(part), _domination_array(symmetric_closures(part)))
+                                   for part in parts))
+        return np.concatenate(value_g), np.concatenate(value_sym)
     if invariant not in ("transmission", "diameter"):
         raise ValueError(f"no batched {invariant!r}, expected transmission, diameter or domination")
-    count = len(rows)
-    total, depth_max, reached = bfs_built(
-        rows.shape[1], (count, lambda lo, hi: adjacency(rows[lo:hi])),
-        (count, lambda lo, hi: symmetric_closures(adjacency(rows[lo:hi]))))
+    total, depth_max, reached = distance_stream(
+        n, (count, lambda lo, hi: adj[lo:hi]), (count, lambda lo, hi: symmetric_closures(adj[lo:hi])))
     if not reached[:count].all():
-        raise DomainError(f"graph {rows[~reached[:count]][0].tolist()} not strongly connected")
+        first = int(reached.argmin())
+        raise DomainError(f"graph {list(stack_rows(adj[first:first + 1])[0])} not strongly connected")
     values = total if invariant == "transmission" else depth_max
     return values[:count], values[count:]
 

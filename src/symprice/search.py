@@ -32,18 +32,18 @@ chunks of the code space (over a chunk's whole runs of low-half codes,
 the first permutation's images are the outer XOR of its two tables); the
 few survivors meet the rest of the group in blocks.
 
-The surviving codes are decoded, one bit plane at a time, into an (N, n)
-int64 array of adjacency row masks; the strong-connectivity filter is
-the reached-all flag of the batched distances ``digraph.bfs_arrays``.
-Each decoded slice becomes graphs through ``Digraph.from_row_array``,
-which checks the slice once as an array, not each class one by one.
+The surviving codes are decoded, all slots at once, into an (N, n, n)
+boolean adjacency stack; the strong-connectivity filter is the
+reached-all flag of a one-part ``digraph.distance_stream``.  Each
+decoded slice becomes graphs through ``Digraph.from_stack``, which
+checks the slice once as a stack, not each class one by one.
 
 The exhaustive reports (``verify_conjecture``, ``verify_theorems``,
-``exhaustive_search``) each read one enumeration into such a row array
+``exhaustive_search``) each read one enumeration into such a stack
 (``_class_rows``) and make one scan step (``_scan``): price every class
 at once with ``invariants.price_arrays`` (batched distances, domination
 and closure, all int64; the classes and then their closures are one
-``digraph.bfs_built`` stream) and rank the difference prices.  Every
+``digraph.distance_stream``) and rank the difference prices.  Every
 graph a report names (each maximiser, top entry and counterexample) is
 priced again by the scalar ``price``, and a disagreement raises
 InvariantViolation.  Single graphs keep the scalar path:
@@ -75,9 +75,10 @@ addition on an empty pair), so it is keyed by that pair and each
 distinct closure is priced once.  The prefix's removals and reversals
 and the distinct closures that remove an edge of Ḡ, built from the
 round's boolean adjacency stacks, go through the same Floyd–Warshall as
-one ``digraph.bfs_built`` stream of two parts, built one slice at a
+one ``digraph.distance_stream`` of two parts, built one slice at a
 time, whose reached-all flags drop the neighbours that are not strongly
-connected; domination sends the removals and reversals alone and prices
+connected.  Domination needs only those flags, so it sends only the
+removals and reversals not known to keep the graph strong, and prices
 the evaluated graphs and their closures in one ``_domination_array``
 scan.  The starts of all climbs are priced together by
 ``invariants.price_arrays`` before any climb is dispatched.  The climbs
@@ -101,8 +102,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .digraph import (ISO_ORDER_CAP, TABLE_ENTRIES, Digraph, adjacency, bfs_arrays, bfs_built,
-                      canonical_form, check_order, distance_stack, pack_rows, row_words, symmetric_closures)
+from .digraph import (ISO_ORDER_CAP, TABLE_ENTRIES, Digraph, adjacency_stack, canonical_form, check_order,
+                      distance_stack, distance_stream, stack_rows, symmetric_closures)
 from .errors import InvariantViolation, SizeError
 # OBJECTIVES stays importable from here for callers of the search API
 from .invariants import (OBJECTIVES, _domination_array, check_domination_order,  # noqa: F401
@@ -113,7 +114,7 @@ DIGRAPH_ORDER_CAP = 6
 TOURNAMENT_ORDER_CAP = 7
 _CHUNK_BITS = 22  # codes per scan chunk, as a power of two (32 MB of int64)
 _STAGE1_PERMS = 48  # permutations in the per-chunk pre-filter, and in each later block
-_DECODE_CHUNK = 1 << 15  # codes decoded per slice, to bound the rows and graphs held at once
+_DECODE_CHUNK = 1 << 15  # codes decoded per slice, to bound the stack and graphs held at once
 # moves a climb group's round must hold before a second group, and process,
 # pays: below it the cost per numpy call, not the data, sets a round's
 # time.  On two cores, 15 climbs at n = 12 (2160 moves a round)
@@ -145,16 +146,16 @@ class _CodeSpace:
         dest = a * (a - 1) // 2 + b
         return dest, ((pu < pv).astype(np.int64) << dest).sum(axis=1)
 
-    def rows(self, codes: np.ndarray) -> np.ndarray:
-        """The (N, n) adjacency row masks of the codes, one bit plane
-        (slot) at a time."""
-        rows = np.zeros((len(codes), self.n), dtype=np.int64)
-        for b, (u, v) in enumerate(self.slots):
-            bit = codes >> b & 1
-            rows[:, u] |= bit << v
-            if self.oriented:
-                rows[:, v] |= (bit ^ 1) << u
-        return rows
+    def stack(self, codes: np.ndarray) -> np.ndarray:
+        """The (N, n, n) boolean adjacency stack of the codes: slot b of
+        a code is its bit b, and a tournament's reverse arrow is the
+        complement."""
+        u, v = np.array(self.slots, dtype=np.int64).reshape(-1, 2).T
+        adj = np.zeros((len(codes), self.n, self.n), dtype=bool)
+        adj[:, u, v] = codes[:, None] >> np.arange(len(u)) & 1
+        if self.oriented:
+            adj[:, v, u] = ~adj[:, u, v]
+        return adj
 
 
 def _group(n: int) -> np.ndarray:
@@ -230,14 +231,14 @@ def _class_codes(n: int, oriented: bool) -> np.ndarray:
 
 def _enumerate(space: _CodeSpace, strongly_connected: bool):
     """Yield the graphs whose codes are minimal in their orbit, ascending,
-    decoded and filtered for strong connectivity as row arrays, a slice
-    at a time."""
+    decoded and filtered for strong connectivity as stacks, a slice at a
+    time."""
     codes = _class_codes(space.n, space.oriented)
     for lo in range(0, len(codes), _DECODE_CHUNK):
-        rows = space.rows(codes[lo:lo + _DECODE_CHUNK])
+        adj = space.stack(codes[lo:lo + _DECODE_CHUNK])
         if strongly_connected:
-            rows = rows[bfs_arrays(rows)[2]]
-        yield from Digraph.from_row_array(space.n, rows)
+            adj = adj[distance_stream(space.n, (len(adj), lambda lo, hi: adj[lo:hi]))[2]]
+        yield from Digraph.from_stack(adj)
 
 
 def enumerate_digraphs(n: int, strongly_connected: bool = True):
@@ -278,32 +279,32 @@ class TheoremReport:
 
 def _class_rows(n: int, strongly_connected: bool) -> np.ndarray:
     """The classes of ``enumerate_digraphs(n, strongly_connected)`` as an
-    (N, n) int64 array of adjacency row masks, in enumeration order."""
-    return np.fromiter((g.rows for g in enumerate_digraphs(n, strongly_connected)),
-                       dtype=(np.int64, n))
+    (N, n, n) boolean adjacency stack, in enumeration order."""
+    return adjacency_stack((g.rows for g in enumerate_digraphs(n, strongly_connected)), n)
 
 
-def _scan(rows: np.ndarray, invariant: str, top_k: int = 0):
-    """The one scan step: price the classes of ``rows`` together and rank
-    their difference prices |I(G) - I(Ḡ)|.  Returns the prices (of G and
-    of its closure), the best value, the maximisers in enumeration order
-    and the ``top_k`` highest (value, graph) pairs, ties in enumeration
-    order; every graph returned is priced again by ``_repriced``."""
-    prices = price_arrays(rows, invariant)
+def _scan(adj: np.ndarray, invariant: str, top_k: int = 0):
+    """The one scan step: price the classes of the stack ``adj`` together
+    and rank their difference prices |I(G) - I(Ḡ)|.  Returns the prices
+    (of G and of its closure), the best value, the maximisers in
+    enumeration order and the ``top_k`` highest (value, graph) pairs,
+    ties in enumeration order; every graph returned is priced again by
+    ``_repriced``."""
+    prices = price_arrays(adj, invariant)
     values = np.abs(prices[0] - prices[1])
     best = int(values.max())
     ties = np.flatnonzero(values == best).tolist()
     top = np.argsort(-values, kind="stable")[:top_k].tolist()
-    maxi = _repriced(rows, prices, invariant, ties)
-    ranked = list(zip(values[top].tolist(), _repriced(rows, prices, invariant, top)))
+    maxi = _repriced(adj, prices, invariant, ties)
+    ranked = list(zip(values[top].tolist(), _repriced(adj, prices, invariant, top)))
     return prices, best, maxi, ranked
 
 
-def _repriced(rows: np.ndarray, prices, invariant: str, indices) -> list[Digraph]:
-    """The graphs at ``indices``, each priced again by the scalar
-    ``price``; raises InvariantViolation where the batched values
-    ``prices`` (for G and for its closure) disagree."""
-    graphs = Digraph.from_row_array(rows.shape[1], rows[indices])
+def _repriced(adj: np.ndarray, prices, invariant: str, indices) -> list[Digraph]:
+    """The graphs at ``indices`` of the stack ``adj``, each priced again
+    by the scalar ``price``; raises InvariantViolation where the batched
+    values ``prices`` (for G and for its closure) disagree."""
+    graphs = Digraph.from_stack(adj[indices])
     for i, g in zip(indices, graphs):
         pr = price(g, invariant)
         batched = int(prices[0][i]), int(prices[1][i])
@@ -323,17 +324,18 @@ def verify_theorems(n: int) -> list[TheoremReport]:
         raise ValueError(f"the theorems require n >= 3, got {n}")
     reports = []
     every = _class_rows(n, strongly_connected=False)
+    strong = distance_stream(n, (len(every), lambda lo, hi: every[lo:hi]))[2]
     cases = (
-        ("diameter", every[bfs_arrays(every)[2]], families.b_family(n)),
+        ("diameter", every[strong], families.b_family(n)),
         ("domination", every, families.l_set(families.in_star(n), 1)),
     )
-    for invariant, rows, expected in cases:
-        prices, best, maxi, _ = _scan(rows, invariant)
+    for invariant, adj, expected in cases:
+        prices, best, maxi, _ = _scan(adj, invariant)
         value_g, value_sym = prices
         # pos_quot = value_g / value_sym > n - 1, in integers
         over_bound = np.flatnonzero((np.abs(value_g - value_sym) > n - 2)
                                     | (value_sym > 0) & (value_g > (n - 1) * value_sym))
-        cex = _repriced(rows, prices, invariant, over_bound[:1])[0] if len(over_bound) else None
+        cex = _repriced(adj, prices, invariant, over_bound[:1])[0] if len(over_bound) else None
         family = {canonical_form(g) for g in expected}
         found = {canonical_form(g) for g in maxi}
         match = found == family and best == n - 2
@@ -350,7 +352,7 @@ def verify_theorems(n: int) -> list[TheoremReport]:
                 best_value=best,
                 maximizers_match_family=match,
                 bounds_hold=not len(over_bound),
-                classes_checked=len(rows),
+                classes_checked=len(adj),
                 counterexample=cex,
             )
         )
@@ -376,8 +378,8 @@ def verify_conjecture(n: int, top_k: int = 5) -> ConjectureReport:
     transmission-price maximiser among strongly connected classes."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rows = _class_rows(n, strongly_connected=True)
-    _, best, maxi, top = _scan(rows, "transmission", top_k)
+    adj = _class_rows(n, strongly_connected=True)
+    _, best, maxi, top = _scan(adj, "transmission", top_k)
     cyc = canonical_form(families.cycle(n))
     return ConjectureReport(
         n=n,
@@ -385,7 +387,7 @@ def verify_conjecture(n: int, top_k: int = 5) -> ConjectureReport:
         unique_maximizer=len(maxi) == 1,
         maximizer_is_cycle=all(canonical_form(g) == cyc for g in maxi),
         top=top,
-        classes_checked=len(rows),
+        classes_checked=len(adj),
     )
 
 
@@ -593,10 +595,11 @@ def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
     and Ḡ itself are priced from the distance matrices (``_inserted``,
     ``_value``).  The prefix's removals and reversals and the distinct
     closures that remove an edge of Ḡ, built from the round's adjacency
-    stack, go through one ``bfs_built`` stream of two parts, whose
+    stack, go through one ``distance_stream`` of two parts, whose
     reached-all flags drop the removals and reversals that are not
-    strongly connected.  Domination sends the removals and reversals
-    alone, and prices the evaluated graphs and their closures in one
+    strongly connected.  Domination needs only those flags: it sends the
+    removals and reversals not known to keep the graph strong, and
+    prices the evaluated graphs and their closures in one
     ``_domination_array`` call."""
     count, n = adj.shape[:2]
     climb, kind, u, v, pos, key = _neighbours(adj)
@@ -618,16 +621,17 @@ def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
         seen[keys] = True
         return np.flatnonzero(seen)
 
-    moves = np.flatnonzero(prefix & (kind != 1))
-    cuts = key[:0] if invariant == "domination" else distinct(key[prefix & cut])
-    total, depth_max, reached = bfs_built(n, *parts(moves, cuts))
+    if invariant == "domination":
+        moves, cuts = np.flatnonzero(prefix & ~known), key[:0]
+    else:
+        moves, cuts = np.flatnonzero(prefix & (kind != 1)), distinct(key[prefix & cut])
+    total, depth_max, reached = distance_stream(n, *parts(moves, cuts))
     strong = prefix.copy()
     strong[moves] = reached[:len(moves)]
     taken = np.flatnonzero(strong & (_ranks(strong, pos) < remaining[climb]))
     if invariant == "domination":
         keys = distinct(key[taken])
-        built = np.concatenate([build(0, size) for size, build in parts(taken, keys)])
-        values = _domination_array(row_words(built))
+        values = _domination_array(np.concatenate([build(0, size) for size, build in parts(taken, keys)]))
         value_g, value_sym = values[:len(taken)], values[len(taken) + np.searchsorted(keys, key[taken])]
     else:
         values = total if invariant == "transmission" else depth_max
@@ -684,8 +688,7 @@ def _climb_group(job) -> list[tuple[int, int, tuple[int, ...]]]:
         adj[better[rev], v[rev], u[rev]] ^= True
         value[better] = best
         live = better[evals[better] < cap]
-    return [(val, ev, tuple(int.from_bytes(r.tobytes(), "little") for r in row_words(a)))
-            for a, val, ev in zip(adj, value.tolist(), evals.tolist())]
+    return list(zip(value.tolist(), evals.tolist(), stack_rows(adj)))
 
 
 def _warm_starts(n: int, objective: str) -> list[tuple[str, Digraph]]:
@@ -726,10 +729,9 @@ def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int 
                          f"one evaluation per start, got {budget}")
     starts.extend(("random", random_strongly_connected(n, rng)) for _ in range(restarts))
     cap = budget // len(starts)
-    words = pack_rows([g.rows for _, g in starts], n)
-    value_g, value_sym = price_arrays(words, invariant)
+    adj = adjacency_stack((g.rows for _, g in starts), n)
+    value_g, value_sym = price_arrays(adj, invariant)
     start_values = np.abs(value_g - value_sym).tolist()
-    adj = adjacency(words)
     # starts dealt round-robin: group k climbs starts k, k + groups, ...;
     # a climb searches about min(cap, n * n) moves a round
     groups = min(threads, os.cpu_count() or 1, len(starts),
@@ -769,17 +771,17 @@ def exhaustive_search(n: int, objective: str) -> SearchOutcome:
     """Exact maximisation of a price objective over isomorphism classes
     (strongly connected ones; all digraphs for domination)."""
     invariant = objective_invariant(objective)
-    if n < 1:  # before the scan, which cannot shape rows of no vertices
+    if n < 1:  # before the scan, which cannot shape a stack of no vertices
         raise ValueError(f"order must be >= 1, got {n}")
     t0 = time.monotonic()
-    rows = _class_rows(n, strongly_connected=objective != "domination")
-    _, best, maxi, _ = _scan(rows, invariant)
+    adj = _class_rows(n, strongly_connected=objective != "domination")
+    _, best, maxi, _ = _scan(adj, invariant)
     return SearchOutcome(
         n=n,
         objective=objective,
         best_value=best,
         maximizers=tuple(maxi),
         exhaustive=True,
-        graphs_visited=len(rows),
+        graphs_visited=len(adj),
         elapsed=time.monotonic() - t0,
     )

@@ -25,13 +25,14 @@ def objective_fn(name: str):
     return lambda g: int(price(g, invariant).pos_minus)
 
 
-def spy_kernel(monkeypatch):
+def spy_engine(monkeypatch):
     """The graphs of every slice the batched distance engine searches
-    from now on, each slice as the (N, n, W) ``pack_rows`` words of its
-    graphs in stream order."""
+    from now on, each slice as the row tuples of its graphs in stream
+    order."""
     slices = []
-    kernel = digraph._slice_sums
-    monkeypatch.setattr(digraph, "_slice_sums", lambda adj: slices.append(digraph.row_words(adj)) or kernel(adj))
+    search_slice = digraph._slice_sums
+    monkeypatch.setattr(digraph, "_slice_sums",
+                        lambda adj: slices.append(digraph.stack_rows(adj)) or search_slice(adj))
     return slices
 
 

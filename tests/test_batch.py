@@ -1,8 +1,9 @@
-"""Differential test of the batched kernel against the scalar registry.
+"""Differential test of the batched distance engine against the scalar
+registry.
 
 Every class of ``enumerate_digraphs`` up to n = 5, every tournament up
-to n = 6 and hypothesis row arrays up to n = 7 (strongly connected or
-not) are priced both ways: the batched values of G and of its closure
+to n = 6 and hypothesis adjacency stacks up to n = 7 (strongly connected
+or not) are priced both ways: the batched values of G and of its closure
 must equal the scalar ``INVARIANTS`` functions over all the graphs an
 invariant is defined on (``price_arrays``), and the reached-all flag
 must equal ``is_strongly_connected``.
@@ -14,29 +15,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symprice.digraph import (ORDER_CAP, TABLE_ENTRIES, Digraph, adjacency, bfs_arrays, bfs_built, pack_rows,
-                              row_words, symmetric_closures)
+from symprice.digraph import (ORDER_CAP, TABLE_ENTRIES, Digraph, adjacency_stack, distance_stream, stack_rows,
+                              symmetric_closures)
 from symprice.distances import all_pairs_distances
 from symprice import formulas, invariants
 from symprice.errors import DomainError
 from symprice.families import check_closed_forms, path
-from symprice.invariants import INVARIANTS, diameter, price_arrays, transmission
+from symprice.invariants import INVARIANTS, diameter, domination_number, price_arrays, transmission
 from symprice.search import enumerate_digraphs, enumerate_tournaments, random_strongly_connected
 
-from conftest import digraphs, spy_kernel
+from conftest import digraphs, spy_engine
+
+
+def distances(adj):
+    """The three arrays of a one-part ``distance_stream`` of the stack."""
+    return distance_stream(adj.shape[1], (len(adj), lambda lo, hi: adj[lo:hi]))
+
+
+def stack(graphs, n=None):
+    return adjacency_stack((g.rows for g in graphs), graphs[0].n if n is None else n)
 
 
 def check_batch(graphs):
-    n = graphs[0].n
-    rows = np.array([g.rows for g in graphs], dtype=np.int64).reshape(len(graphs), n)
+    adj = stack(graphs)
     closures = [g.symmetric_closure() for g in graphs]
-    assert row_words(symmetric_closures(adjacency(rows)))[:, :, 0].tolist() == [list(h.rows) for h in closures]
-    _, _, reached = bfs_arrays(rows)
+    assert stack_rows(symmetric_closures(adj)) == [h.rows for h in closures]
+    _, _, reached = distances(adj)
     assert reached.tolist() == [g.is_strongly_connected() for g in graphs]
     strong_graphs = [g for g, ok in zip(graphs, reached) if ok]
     for name in ("domination", "transmission", "diameter"):
         f = INVARIANTS[name]
-        strong = rows if name == "domination" else rows[reached]
+        strong = adj if name == "domination" else adj[reached]
         priced = graphs if name == "domination" else strong_graphs
         if not len(strong):
             continue
@@ -60,16 +69,16 @@ def test_tournaments(n):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 7).flatmap(lambda n: st.lists(digraphs(min_n=n, max_n=n), min_size=1, max_size=12)))
 def test_random_row_arrays(graphs):
+    # the stacks of hypothesis graphs, drawn as row tuples
     check_batch(graphs)
 
 
 def test_distance_invariants_refuse_graphs_not_strongly_connected():
-    rows = np.array([Digraph.from_arrows(3, [(0, 1), (1, 2), (2, 0)]).rows,
-                     Digraph.from_arrows(3, [(0, 1), (1, 2)]).rows], dtype=np.int64)
+    adj = stack([Digraph.from_arrows(3, [(0, 1), (1, 2), (2, 0)]), Digraph.from_arrows(3, [(0, 1), (1, 2)])])
     for name in ("transmission", "diameter"):
         with pytest.raises(DomainError, match=r"graph \[2, 4, 0\] not strongly connected"):
-            price_arrays(rows, name)
-    assert price_arrays(rows, "domination")[0].tolist() == [2, 2]
+            price_arrays(adj, name)
+    assert price_arrays(adj, "domination")[0].tolist() == [2, 2]
 
 
 def wide_graphs(n):
@@ -83,20 +92,20 @@ def wide_graphs(n):
     return strong + [cut, source, Digraph.empty(n)]
 
 
-# every block shape of the kernel (n = 1 is in test_digraph_classes): one
-# block of n <= 8, balanced blocks of up to 8 vertices, and blocks of 8
-# in one, two and three words per row
+# orders on both sides of a stack's batch-axis rule (six graphs: stored
+# batch-first from n = 7) and of the 64-bit words that adjacency_stack
+# splits a row into (n = 1 is in test_digraph_classes)
 @pytest.mark.parametrize("n", [*range(2, 71), 100, 130])
 def test_kernel_against_scalar_bfs_at_word_boundaries(n):
     graphs = wide_graphs(n)
-    total, depth, reached = bfs_arrays(pack_rows([g.rows for g in graphs], n))
+    total, depth, reached = distances(stack(graphs))
     assert reached.tolist() == [g.is_strongly_connected() for g in graphs] == [True] * 3 + [False] * 3
     for g, t, dm in zip(graphs, total.tolist(), depth.tolist()):
         finite = [x for row in all_pairs_distances(g).dist for x in row if x is not None]
         assert (t, dm) == (sum(finite), max(finite))
         if g.is_strongly_connected():
             assert (t, dm) == (transmission(g), diameter(g))
-    priced = price_arrays(pack_rows([g.rows for g in graphs[:3]], n), "transmission")
+    priced = price_arrays(stack(graphs[:3]), "transmission")
     assert [p.tolist() for p in priced] == [[transmission(g) for g in graphs[:3]],
                                            [transmission(g.symmetric_closure()) for g in graphs[:3]]]
 
@@ -107,7 +116,7 @@ def test_distance_engine_at_the_order_cap():
     n = ORDER_CAP
     (check,) = check_closed_forms([f"cycle:{n}"])
     assert check.bfs == check.forms == (formulas.sigma_cycle(n), formulas.sigma_cycle_sym(n))
-    total, depth, reached = bfs_arrays(pack_rows([path(n).rows], n))
+    total, depth, reached = distances(stack([path(n)]))
     assert reached.tolist() == [False]
     assert (total.tolist(), depth.tolist()) == ([(n + 1) * n * (n - 1) // 6], [n - 1])
 
@@ -118,51 +127,48 @@ def test_kernel_slices_match_whole(monkeypatch):
     # n = 5, 910 at n = 12, 327 at n = 20) also at a wide order, where a
     # slice holds a few graphs (13 at n = 100); copies of the batch
     # straddle slices
-    small = np.array([g.rows for g in enumerate_digraphs(5, strongly_connected=False)], dtype=np.int64)
-    balanced = [pack_rows([g.rows for g in wide_graphs(n)], n) for n in (12, 20)]
-    wide = pack_rows([g.rows for g in wide_graphs(100)], 100)
-    slices = spy_kernel(monkeypatch)
+    small = stack(list(enumerate_digraphs(5, strongly_connected=False)))
+    balanced = [stack(wide_graphs(n)) for n in (12, 20)]
+    wide = stack(wide_graphs(100))
+    slices = spy_engine(monkeypatch)
     for batch, copies in ((small, 4), (balanced[0], 200), (balanced[1], 60), (wide, 10)):
-        rows = np.concatenate([batch] * copies)
+        adj = np.concatenate([batch] * copies)
         slices.clear()
-        total, depth, reached = bfs_arrays(rows)
-        assert len(slices) > 1 and np.concatenate(slices).reshape(rows.shape).tolist() == rows.tolist()
+        total, depth, reached = distances(adj)
+        assert len(slices) > 1 and sum(slices, []) == stack_rows(adj)
         k = len(batch)
         for part in (total, depth, reached):
             assert all((part[i * k:(i + 1) * k] == part[:k]).all() for i in range(copies))
-        assert [p.tolist() for p in bfs_arrays(batch)] == [p[:k].tolist() for p in (total, depth, reached)]
+        assert [p.tolist() for p in distances(batch)] == [p[:k].tolist() for p in (total, depth, reached)]
 
 
-def test_bfs_built_searches_its_parts_as_one_array(monkeypatch):
+def test_distance_stream_searches_its_parts_as_one_array(monkeypatch):
     # a stream of parts is searched as the concatenation of the parts, in
-    # slices that cross part boundaries, with pieces decoded from (k, n)
-    # and (k, n, W) arrays mixed
+    # slices that cross part boundaries
     n = 12
     step = TABLE_ENTRIES // (n * n)
-    batch = pack_rows([g.rows for g in wide_graphs(n)], n)
+    batch = stack(wide_graphs(n))
 
     cases = [
-        [(0, True), (7, False)],  # an empty first part
-        [(5, False), (0, True), (9, False)],  # an empty middle part
-        [(0, False), (0, True)],  # no graphs: one empty slice
-        [(step - 3, True), (10, False)],  # a part boundary inside a slice
-        [(2 * step + 5, False), (step + 1, True), (3, False)],  # parts spanning slices
+        [0, 7],  # an empty first part
+        [5, 0, 9],  # an empty middle part
+        [0, 0],  # no graphs: one empty slice
+        [step - 3, 10],  # a part boundary inside a slice
+        [2 * step + 5, step + 1, 3],  # parts spanning slices
     ]
-    slices = spy_kernel(monkeypatch)
+    slices = spy_engine(monkeypatch)
     for case in cases:
-        parts = [batch[np.arange(count) % len(batch)] for count, _ in case]
+        parts = [batch[np.arange(count) % len(batch)] for count in case]
         whole = np.concatenate(parts)
         slices.clear()
-        built = bfs_built(n, *((len(rows), lambda lo, hi, rows=rows, flat=flat:
-                                adjacency(rows[lo:hi, :, 0] if flat else rows[lo:hi]))
-                               for rows, (_, flat) in zip(parts, case)))
+        built = distance_stream(n, *((len(adj), lambda lo, hi, adj=adj: adj[lo:hi]) for adj in parts))
         assert len(slices) == max(1, -(-len(whole) // step))
-        assert np.concatenate(slices).tolist() == whole.tolist()
-        assert [p.tolist() for p in built] == [p.tolist() for p in bfs_arrays(whole)]
+        assert sum(slices, []) == stack_rows(whole)
+        assert [p.tolist() for p in built] == [p.tolist() for p in distances(whole)]
 
 
 def test_price_arrays_holds_one_slice_of_closures(monkeypatch):
-    # the distance prices build the closures a kernel slice at a time, so
+    # the distance prices build the closures an engine slice at a time, so
     # an n = 6 scan holds one slice of them, not all 1,540,944: the slice
     # [lo, lo + step) of the stream of N graphs, then their N closures,
     # builds the closures of graphs lo - N to lo + step - N that exist
@@ -170,38 +176,59 @@ def test_price_arrays_holds_one_slice_of_closures(monkeypatch):
     closures = invariants.symmetric_closures
     monkeypatch.setattr(invariants, "symmetric_closures", lambda adj: sizes.append(len(adj)) or closures(adj))
     graphs = wide_graphs(12)[:3]
-    rows = pack_rows([g.rows for g in graphs] * 1000, 12)
-    count, step = len(rows), TABLE_ENTRIES // (12 * 12)
-    value_g, value_sym = price_arrays(rows, "transmission")
+    adj = stack(graphs * 1000)
+    count, step = len(adj), TABLE_ENTRIES // (12 * 12)
+    value_g, value_sym = price_arrays(adj, "transmission")
     expected = [max(0, min(lo + step, 2 * count) - max(lo, count)) for lo in range(0, 2 * count, step)]
     assert sizes == expected == [0, 0, 0, 640, 910, 910, 540]
     assert value_g.tolist() == [transmission(g) for g in graphs] * 1000
     assert value_sym.tolist() == [transmission(g.symmetric_closure()) for g in graphs] * 1000
 
 
-@pytest.mark.parametrize("n, copies, one_word", [(5, 2000, True), (65, 20, False)])
-def test_price_arrays_is_one_stream_graphs_first(monkeypatch, n, copies, one_word):
-    # the N graphs and then their N closures go through the kernel as one
-    # stream of ceil(2N / step) slices, on (N, n) and (N, n, W) input; at
-    # these sizes a slice holds graphs and closures both
-    packed = pack_rows([g.rows for g in wide_graphs(n)[:3]] * copies, n)
-    rows = packed[:, :, 0] if one_word else packed
-    slices = spy_kernel(monkeypatch)
-    price_arrays(rows, "diameter")
+@pytest.mark.parametrize("n, copies", [(5, 2000), (65, 20)])
+def test_price_arrays_is_one_stream_graphs_first(monkeypatch, n, copies):
+    # the N graphs and then their N closures go through the engine as one
+    # stream of ceil(2N / step) slices; at these sizes a slice holds
+    # graphs and closures both
+    graphs = wide_graphs(n)[:3] * copies
+    slices = spy_engine(monkeypatch)
+    price_arrays(stack(graphs), "diameter")
     step = TABLE_ENTRIES // (n * n)
-    closed = row_words(symmetric_closures(adjacency(packed)))
-    assert len(slices) == -(-2 * len(rows) // step) > 2
-    assert np.concatenate(slices).tolist() == np.concatenate([packed, closed]).tolist()
+    assert len(slices) == -(-2 * len(graphs) // step) > 2
+    assert sum(slices, []) == [g.rows for g in graphs] + [g.symmetric_closure().rows for g in graphs]
 
 
-def test_pack_rows_splits_rows_into_words():
-    g = Digraph.from_arrows(65, [(0, 64), (0, 63), (0, 1), (1, 0), (2, 64), (2, 63), (64, 2)])
-    packed = pack_rows([g.rows], 65)
-    assert packed.shape == (1, 65, 2) and packed.dtype == np.int64
-    assert packed[0, [0, 1, 2, 63, 64]].view(np.uint64).tolist() == [
-        [1 << 63 | 2, 1], [1, 0], [1 << 63, 1], [0, 0], [4, 0]]
-    assert adjacency(packed)[0].tolist() == [[bool(row >> j & 1) for j in range(65)] for row in g.rows]
-    assert (row_words(adjacency(packed)) == packed).all()
-    assert (row_words(symmetric_closures(adjacency(packed))) == pack_rows([g.symmetric_closure().rows], 65)).all()
-    assert pack_rows([], 65).shape == (0, 65, 2)
-    assert [p.tolist() for p in bfs_arrays(pack_rows([], 65))] == [[], [], []]
+def test_domination_prices_one_slice_at_a_time(monkeypatch):
+    # domination prices TABLE_ENTRIES // n graphs at a time, each slice
+    # with its own closures, so a scan holds one slice of closures: three
+    # copies of the 9608 classes of order 5 make two slices
+    sizes = []
+    closures = invariants.symmetric_closures
+    monkeypatch.setattr(invariants, "symmetric_closures", lambda adj: sizes.append(len(adj)) or closures(adj))
+    classes = list(enumerate_digraphs(5, strongly_connected=False))
+    value_g, value_sym = price_arrays(stack(classes * 3), "domination")
+    assert sizes == [TABLE_ENTRIES // 5, 3 * len(classes) - TABLE_ENTRIES // 5] == [26214, 2610]
+    assert value_g.tolist() == [domination_number(g) for g in classes] * 3
+    assert value_sym.tolist() == [domination_number(g.symmetric_closure()) for g in classes] * 3
+    sizes.clear()
+    assert [p.tolist() for p in price_arrays(stack([], 5), "domination")] == [[], []]
+    assert sizes == [0]
+
+
+def test_adjacency_stack_round_trips():
+    # entry (k, i, j) is bit j of row i of graph k at every order, across
+    # byte and 64-bit word boundaries, and stack_rows is the inverse
+    for n in (1, 7, 8, 9, 63, 64, 65, 1000):
+        rng = random.Random(n)
+        graphs = [Digraph.empty(n), Digraph(n, tuple(((1 << n) - 1) & ~(1 << i) for i in range(n)))]
+        if n > 1:
+            graphs.append(random_strongly_connected(n, rng, 0.3))
+        adj = stack(graphs)
+        assert adj.shape == (len(graphs), n, n) and adj.dtype == bool
+        assert adj.tolist() == [[[bool(row >> j & 1) for j in range(n)] for row in g.rows] for g in graphs]
+        assert stack_rows(adj) == [g.rows for g in graphs]
+        assert all(type(r) is int for rows in stack_rows(adj) for r in rows)
+        assert stack_rows(symmetric_closures(adj)) == [g.symmetric_closure().rows for g in graphs]
+        empty = stack([], n)
+        assert empty.shape == (0, n, n) and stack_rows(empty) == []
+        assert [p.tolist() for p in distances(empty)] == [[], [], []]

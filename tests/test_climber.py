@@ -4,7 +4,7 @@ A round (``search._step``) prices one step of several climbs at once:
 ``_evaluated`` prices every climb's single-arrow additions and the
 closures that add an edge to Ḡ from the round's distance matrices, and
 stacks the removals, reversals and distinct closures that remove an
-edge of Ḡ into one kernel batch.  The reference it
+edge of Ḡ into one batch of the distance engine.  The reference it
 must match, climb by climb, is ``neighbors`` below walked with the
 scalar ``objective_fn`` of conftest: removals that keep the graph
 strongly connected, then additions, then reversals, stopping after
@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symprice import search
-from symprice.digraph import (TABLE_ENTRIES, Digraph, adjacency, bfs_built, pack_rows, row_words,
+from symprice.digraph import (TABLE_ENTRIES, Digraph, adjacency_stack, distance_stream, stack_rows,
                               symmetric_closures)
 from symprice.distances import all_pairs_distances
 from symprice.errors import InvariantViolation
@@ -28,7 +28,7 @@ from symprice.invariants import OBJECTIVES, objective_invariant, price_arrays
 from symprice.search import (_closures, _distances, _evaluated, _inserted, _neighbours, _step, hill_climb,
                              random_strongly_connected)
 
-from conftest import objective_fn, spy_kernel
+from conftest import objective_fn, spy_engine
 
 
 @st.composite
@@ -92,7 +92,7 @@ def reference_step(g, objective, remaining):
 
 
 def stack(graphs):
-    return adjacency(pack_rows([g.rows for g in graphs], graphs[0].n))
+    return adjacency_stack((g.rows for g in graphs), graphs[0].n)
 
 
 def check_round(graphs, remaining, objective, sample=None):
@@ -170,12 +170,11 @@ def test_closure_keys(g):
     # neighbours share a key exactly when they share a closure
     adj = stack([g])
     climb, kind, u, v, _, key = _neighbours(adj)
-    closures = row_words(_closures(symmetric_closures(adj), key))
-    assert closures.shape[2] == 1
+    closures = stack_rows(_closures(symmetric_closures(adj), key))
     by_key = {}
-    for *move, k, rows in zip(kind.tolist(), u.tolist(), v.tolist(), key.tolist(), closures[:, :, 0].tolist()):
-        assert tuple(rows) == moved(g, *move).symmetric_closure().rows
-        by_key[k] = tuple(rows)
+    for *move, k, rows in zip(kind.tolist(), u.tolist(), v.tolist(), key.tolist(), closures):
+        assert rows == moved(g, *move).symmetric_closure().rows
+        by_key[k] = rows
     assert len(set(by_key.values())) == len(by_key)
 
 
@@ -226,25 +225,24 @@ def test_insertions_match_price_arrays(g):
         graphs = [base.add_arrow(x, y) for x, y in pairs]
         if both:
             graphs = [h.add_arrow(y, x) for h, (x, y) in zip(graphs, pairs)]
-        packed = pack_rows([h.rows for h in graphs], g.n)
         for invariant in ("transmission", "diameter"):
             got = _inserted(d, np.zeros(len(pairs), np.int64), a, b, invariant, both)
-            assert got.tolist() == price_arrays(packed, invariant)[0].tolist()
+            assert got.tolist() == price_arrays(stack(graphs), invariant)[0].tolist()
 
 
 def test_round_is_one_kernel_batch(monkeypatch):
-    # a round of whole neighbourhoods is one kernel slice: each climb's
+    # a round of whole neighbourhoods is one engine slice: each climb's
     # removals and reversals, then each distinct closure that removes an
     # edge of a climb's Ḡ once; no addition and no closure that adds an
-    # edge to Ḡ reaches the kernel
-    calls = spy_kernel(monkeypatch)
+    # edge to Ḡ reaches the engine
+    calls = spy_engine(monkeypatch)
     rng = random.Random(7)
     graphs = [random_strongly_connected(10, rng, extra) for extra in (0.05, 0.2, 0.5)]
     adj = stack(graphs)
     climb, kind, u, v, _, _ = _neighbours(adj)
     _evaluated(adj, np.array([10 ** 6] * 3), "transmission")
     assert len(calls) == 1
-    batch = [tuple(r) for r in calls[0][:, :, 0].tolist()]
+    batch = calls[0]
     searched, cuts, additions, inserting = [], [], set(), set()
     for c, g in enumerate(graphs):
         sym, cut = g.symmetric_closure(), set()
@@ -267,9 +265,9 @@ def test_round_is_one_kernel_batch(monkeypatch):
 
 
 def test_round_is_built_one_kernel_slice_at_a_time(monkeypatch):
-    # a round larger than a kernel slice goes through the kernel in
+    # a round larger than an engine slice goes through the engine in
     # slices, each built on its own: full slices, then the rest
-    slices = spy_kernel(monkeypatch)
+    slices = spy_engine(monkeypatch)
     rng = random.Random(30)
     adj = stack([random_strongly_connected(30, rng, extra) for extra in (0.05, 0.3)])
     _evaluated(adj, np.array([10 ** 6] * 2), "transmission")
@@ -280,11 +278,11 @@ def test_round_is_built_one_kernel_slice_at_a_time(monkeypatch):
 
 def test_short_prefix_is_one_kernel_batch(monkeypatch):
     # JOINED_TRIANGLES at cap 1 searches its removals up to its first one
-    # off the branchings at vertex 0 in the same kernel batch as the
+    # off the branchings at vertex 0 in the same engine batch as the
     # removals and reversals of cycle(6)
     graphs, remaining = [JOINED_TRIANGLES, cycle(6)], [1, 30]
     check_round(graphs, remaining, "sigma")
-    calls = spy_kernel(monkeypatch)
+    calls = spy_engine(monkeypatch)
     _evaluated(stack(graphs), np.array(remaining), "transmission")
     assert len(calls) == 1
 
@@ -309,17 +307,19 @@ def tree_arrows(g):
 def test_round_searches_one_exact_prefix(objective, rnd):
     # a climb searches its moves up to its remaining-th known-strong one
     # (an addition, or a removal or reversal of an arrow off its
-    # tree_arrows), or all of them where it has fewer.  One bfs_built
-    # call per round, and all the kernel ever sees: the removals and
-    # reversals of those prefixes, then the distinct closures of their
-    # moves that remove an edge of Ḡ (none for domination)
+    # tree_arrows), or all of them where it has fewer.  One
+    # distance_stream call per round, and all the engine ever sees: the
+    # removals and reversals of those prefixes, then the distinct
+    # closures of their moves that remove an edge of Ḡ.  Domination
+    # reads only the reached-all flags, so it sends only the removals and
+    # reversals of tree arrows, and no closure
     graphs, remaining = rnd
     adj = stack(graphs)
     climb, kind, u, v, _, _ = _neighbours(adj)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "bfs_built", lambda n, *parts: calls.append(n) or bfs_built(n, *parts))
-        slices = spy_kernel(mp)
+        mp.setattr(search, "distance_stream", lambda n, *parts: calls.append(n) or distance_stream(n, *parts))
+        slices = spy_engine(mp)
         _evaluated(adj, np.array(remaining), objective_invariant(objective))
     assert len(calls) == 1
     searched, cuts = [], []
@@ -329,17 +329,18 @@ def test_round_searches_one_exact_prefix(objective, rnd):
         for move in zip(*(x[climb == c].tolist() for x in (kind, u, v))):
             if known == r:
                 break
-            known += move[0] == 1 or move[1:] not in tree
+            strong = move[0] == 1 or move[1:] not in tree
+            known += strong
             h = moved(g, *move)
-            if move[0] != 1:
+            if move[0] != 1 and not (objective == "domination" and strong):
                 searched.append(h.rows)
             closure = h.symmetric_closure()
             if closure.arrow_count() < sym.arrow_count():
                 cut.add(closure.rows)
         cuts += cut
-    kernel = [tuple(r) for r in np.concatenate(slices)[:, :, 0].tolist()]
-    assert kernel[:len(searched)] == searched
-    assert sorted(kernel[len(searched):]) == ([] if objective == "domination" else sorted(cuts))
+    engine = sum(slices, [])
+    assert engine[:len(searched)] == searched
+    assert sorted(engine[len(searched):]) == ([] if objective == "domination" else sorted(cuts))
 
 
 # (start, start value, end value, evals) of the eleven family starts at n = 12
@@ -423,11 +424,11 @@ def test_hill_climb_golden_beyond_one_word():
     assert [g.rows for g in out.maximizers] == [BAG_65_27]
 
 
-def test_short_caps_search_few_kernel_rows(monkeypatch):
+def test_short_caps_search_few_engine_rows(monkeypatch):
     # caps of 2 at n = 65: a climb searches its moves only up to its
     # remaining-th one known to keep it strong, not 2n - 2 removals past
-    # its cap (14933 kernel rows), and no addition reaches the kernel
+    # its cap (14933 engine rows), and no addition reaches the engine
     monkeypatch.setenv("SYMPRICE_THREADS", "1")
-    rows = spy_kernel(monkeypatch)
+    rows = spy_engine(monkeypatch)
     assert hill_climb(65, "sigma", 200, 1).best_value == 78438
     assert sum(map(len, rows)) == 792

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from symprice.digraph import Digraph, are_isomorphic, canonical_form, mask_of
+from symprice.digraph import Digraph, are_isomorphic, canonical_form, mask_of, stack_rows
 from symprice.errors import SizeError
 
 from conftest import digraphs
@@ -22,26 +22,26 @@ def test_out_of_range_rejected():
 
 @st.composite
 def row_arrays(draw, min_graphs=0):
-    """(n, an (N, n) int64 array of loop-free row masks), n = 1..8."""
+    """(n, an (N, n, n) loop-free boolean adjacency stack), n = 1..8."""
     n = draw(st.integers(1, 8))
-    graphs = draw(st.lists(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+    graphs = draw(st.lists(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n),
                            min_size=min_graphs, max_size=12))
-    return n, np.array(graphs, dtype=np.int64).reshape(-1, n) & ~(1 << np.arange(n))
+    return n, np.array(graphs, dtype=bool).reshape(-1, n, n) & ~np.eye(n, dtype=bool)
 
 
-def one_by_one_error(n, rows):
-    """The message of the first ``Digraph(n, row)`` that raises."""
+def one_by_one_error(n, adj):
+    """The message of the first ``Digraph(n, rows)`` that raises."""
     with pytest.raises(ValueError) as e:
-        for r in rows.tolist():
-            Digraph(n, tuple(r))
+        for rows in stack_rows(adj):
+            Digraph(n, rows)
     return str(e.value)
 
 
 @given(row_arrays())
 def test_row_array_graphs_equal_one_by_one_construction(case):
-    n, rows = case
-    graphs = Digraph.from_row_array(n, rows)
-    expected = [Digraph(n, tuple(r)) for r in rows.tolist()]
+    n, adj = case
+    graphs = Digraph.from_stack(adj)
+    expected = [Digraph(n, rows) for rows in stack_rows(adj)]
     assert graphs == expected
     assert [hash(g) for g in graphs] == [hash(g) for g in expected]
     assert all(type(g.n) is int and all(type(r) is int for r in g.rows) for g in graphs)
@@ -49,44 +49,39 @@ def test_row_array_graphs_equal_one_by_one_construction(case):
 
 @given(row_arrays(min_graphs=1), st.data())
 def test_row_array_faults_raise_as_one_by_one_construction(case, data):
-    # up to three faulty rows, each with one to three faults, so the first
-    # faulty row and which of its faults is checked first decide
-    n, rows = case
+    # up to three loops, so the first graph with a loop and its first
+    # looped vertex decide; a stack cannot name a vertex >= n
+    n, adj = case
     for _ in range(data.draw(st.integers(1, 3))):
-        k, i = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, n - 1))
-        for fault in data.draw(st.sets(st.sampled_from(["loop", "high bit", "negative"]),
-                                       min_size=1)):
-            rows[k, i] |= {"loop": 1 << i, "high bit": 1 << data.draw(st.integers(n, 62)),
-                           "negative": -1 << 63}[fault]
-    expected = one_by_one_error(n, rows)
+        i = data.draw(st.integers(0, n - 1))
+        adj[data.draw(st.integers(0, len(adj) - 1)), i, i] = True
+    expected = one_by_one_error(n, adj)
     with pytest.raises(ValueError) as e:
-        Digraph.from_row_array(n, rows)
+        Digraph.from_stack(adj)
     assert str(e.value) == expected
 
 
-@pytest.mark.parametrize("n, rows, same_fault", [
-    (3, np.zeros(3, np.int64), (0, 0)),
-    (3, np.zeros((2, 4), np.int64), (0, 0, 0, 0)),
-    (3, np.zeros((2, 2), np.int64), (0, 0)),
-    (3, np.zeros((2, 3, 1), np.int64), (0, 0)),
-    (0, np.zeros((2, 0), np.int64), ()),
+@pytest.mark.parametrize("adj, n, same_fault", [
+    (np.zeros(3, bool), 3, (0, 0)),
+    (np.zeros((2, 3, 4), bool), 4, (0, 0, 0)),
+    (np.zeros((2, 3, 2), bool), 2, (0, 0, 0)),
+    (np.zeros((2, 3, 1), bool), 1, (0, 0, 0)),
+    (np.zeros((2, 0, 0), bool), 0, ()),
 ], ids=["1-D", "wide", "narrow", "3-D", "order-0"])
-def test_row_array_shape_faults_raise_as_one_by_one_construction(n, rows, same_fault):
-    # same_fault: rows for one graph of order n with the array's fault
+def test_row_array_shape_faults_raise_as_one_by_one_construction(adj, n, same_fault):
+    # a stack's order is its row length n; same_fault: rows for one graph
+    # of order n with the stack's fault
     with pytest.raises(ValueError) as expected:
         Digraph(n, same_fault)
     with pytest.raises(ValueError) as e:
-        Digraph.from_row_array(n, rows)
+        Digraph.from_stack(adj)
     assert str(e.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("n, rows", [
-    (63, np.zeros((1, 63), np.int64)),
-    (3, np.zeros((1, 3), np.uint64)),
-], ids=["order-63", "uint64"])
-def test_row_array_needs_int64_masks_below_the_sign_bit(n, rows):
-    with pytest.raises(ValueError):
-        Digraph.from_row_array(n, rows)
+def test_stack_needs_boolean_entries():
+    for dtype in (np.int64, np.uint64, np.uint8):
+        with pytest.raises(ValueError, match=f"must be boolean, got {np.dtype(dtype)}"):
+            Digraph.from_stack(np.zeros((1, 3, 3), dtype))
 
 
 def test_from_arrows_roundtrip():

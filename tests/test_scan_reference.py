@@ -1,6 +1,6 @@
 """The exhaustive scans against a scalar reference.
 
-The reference is the scan the batched kernel replaced: one ``Digraph``
+The reference is the scan the batched engine replaced: one ``Digraph``
 at a time, filtered by ``is_strongly_connected`` and priced by the
 scalar ``price``/``pos_sigma``, with an insertion-sorted top list.  It
 shares only the orbit-minimum enumeration with the code under test.
@@ -13,7 +13,7 @@ import pytest
 
 from symprice import families, search
 from symprice.cli import main
-from symprice.digraph import Digraph, canonical_form
+from symprice.digraph import Digraph, canonical_form, stack_rows
 from symprice.invariants import OBJECTIVES, pos_sigma, price
 from symprice.search import (
     ConjectureReport,
@@ -174,8 +174,8 @@ def test_each_exhaustive_report_enumerates_once(report, monkeypatch):
     (True, 83, "39cf12a37dbe88d29e71cfbca6df5c55ce881d7cc4de770ad757b0216a125764"),
 ], ids=["all", "strong"])
 def test_class_rows_check_the_classes_as_one_array(strong, count, digest, monkeypatch):
-    # the digest is sha256 of repr(rows.tolist()), recorded when each class
-    # was still checked one Digraph at a time
+    # the digest is sha256 of the repr of the classes' rows as lists,
+    # recorded when each class was still checked one Digraph at a time
     calls, checks = [], []
     enumerate_digraphs, post_init = search.enumerate_digraphs, Digraph.__post_init__
 
@@ -189,10 +189,11 @@ def test_class_rows_check_the_classes_as_one_array(strong, count, digest, monkey
 
     monkeypatch.setattr(search, "enumerate_digraphs", spy)
     monkeypatch.setattr(Digraph, "__post_init__", checked)
-    rows = search._class_rows(4, strong)
+    adj = search._class_rows(4, strong)
     assert (len(calls), len(checks)) == (1, 0)
-    assert rows.shape == (count, 4)
-    assert hashlib.sha256(repr(rows.tolist()).encode()).hexdigest() == digest
+    assert adj.shape == (count, 4, 4) and adj.dtype == bool
+    rows = [list(r) for r in stack_rows(adj)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_reports_are_plain_python_values():

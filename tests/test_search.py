@@ -8,7 +8,7 @@ import pytest
 
 from symprice import families, formulas, invariants, search
 from symprice.cli import main
-from symprice.digraph import Digraph, canonical_form
+from symprice.digraph import Digraph, canonical_form, stack_rows
 from symprice.errors import SizeError
 from symprice.invariants import pos_sigma, transmission
 from symprice.search import (
@@ -145,7 +145,7 @@ def test_repeated_enumeration_matches_a_fresh_scan(enumerate_fn, oriented, max_n
         first = [g.rows for g in enumerate_fn(n, strongly_connected=sc)]
         again = [g.rows for g in enumerate_fn(n, strongly_connected=sc)]
         space = search._CodeSpace(n, oriented)
-        fresh = [Digraph(n, tuple(r)) for r in space.rows(search._minimal_codes(space)).tolist()]
+        fresh = [Digraph(n, rows) for rows in stack_rows(space.stack(search._minimal_codes(space)))]
         assert first == again == [g.rows for g in fresh if not sc or g.is_strongly_connected()]
 
 
