@@ -3,8 +3,8 @@
 
 For each order n from 4 (the smallest with a bag), prints the exact
 cycle price, the best bag order and price, and which family wins.
-Everything is exact integer arithmetic; BFS cross-checks are run when
---check is given, and a mismatch exits 3 after naming each failing order
+Everything is exact integer arithmetic; cross-checks against the
+transmissions of the distance engine are run when --check is given, and a mismatch exits 3 after naming each failing order
 on stderr.
 """
 import argparse
@@ -18,7 +18,7 @@ def main(argv=None) -> int:
     ap.add_argument("--min-n", type=int, default=4)
     ap.add_argument("--max-n", type=int, default=40)
     ap.add_argument("--check", action="store_true",
-                    help="cross-check closed forms against BFS transmissions")
+                    help="cross-check closed forms against the distance engine's transmissions")
     args = ap.parse_args(argv)
     if args.min_n < 4:
         ap.error(f"--min-n must be at least 4, the smallest order with a bag, got {args.min_n}")
@@ -34,7 +34,7 @@ def main(argv=None) -> int:
     checks = families.check_closed_forms(specs) if args.check else []
     mismatches = sorted({c.n for c in checks if not c.ok})
     for n in mismatches:
-        print(f"closed form disagrees with BFS at n={n}", file=sys.stderr)
+        print(f"closed form disagrees with the distance engine at n={n}", file=sys.stderr)
     return 3 if mismatches else 0
 
 

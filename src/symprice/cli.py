@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("verify-closed-forms",
-                       help="compare closed forms against BFS transmissions")
+                       help="compare closed forms against the distance engine's transmissions")
     p.add_argument("--max-n", type=int, default=30)
     _add_format_flags(p)
     p.set_defaults(fn=cmd_verify_closed_forms)

@@ -7,17 +7,17 @@ Instances are immutable values; every mutator returns a new graph.
 A batch of graphs of one order is an (N, n, n) boolean adjacency stack.
 ``adjacency_stack`` builds one from row tuples at any order and
 ``stack_rows`` is its inverse; ``Digraph.from_stack`` makes graphs of a
-stack.  ``distance_stack`` is the package's one batched all-pairs loop:
-a Floyd–Warshall (Floyd, CACM 1962) over an int16 stack of N graphs,
-stored with the batch axis last while N >= n, so each of its n passes is
-one numpy operation over the whole stack with inner loops along the
-batch.  It always makes n passes, where a breadth-first search would
-stop at the diameter; that is the price of one engine for dense graphs
-of large order.  ``distance_stream`` is the one place graphs enter it
-in bulk: a stream of parts, such as a batch of graphs and then their
-closures, each slice built from the parts it covers, searched and joined
-into distance sums, maxima and reached-all flags.  ``bfs_levels`` is the
-scalar frontier loop for single graphs.
+stack.  Only this module cuts batches: ``slices`` bounds a slice to
+``TABLE_ENTRIES`` entries, and ``stream`` runs a kernel over a stream of
+parts, such as graphs and then their closures, building each slice from
+the parts it covers.  ``distance_stack`` is the package's one batched
+all-pairs loop: a Floyd–Warshall (Floyd, CACM 1962) over an int16 stack
+of N graphs, stored with the batch axis last while N >= n, so each of
+its n passes is one numpy operation over the whole stack with inner
+loops along the batch.  It always makes n passes, where a breadth-first
+search would stop at the diameter; that is the price of one engine for
+dense graphs of large order.  ``distance_stream`` streams it.
+``bfs_levels`` is the scalar frontier loop for single graphs.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from .errors import SizeError
 
 ISO_ORDER_CAP = 10  # canonical forms are only claimed up to this order
 ORDER_CAP = 1000  # orders read from family specs and graph files; ladder timings in README
-TABLE_ENTRIES = 1 << 17  # distance entries, n * n a graph, per slice of distance_stream: bounds memory
+TABLE_ENTRIES = 1 << 17  # entries per slice of a batch (n * n a graph to the engine): bounds memory
 
 
 def check_order(n: int) -> None:
@@ -136,28 +136,41 @@ def _slice_sums(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             reached.all(axis=(1, 2)))
 
 
-def distance_stream(n: int, *parts: tuple[int, Callable[[int, int], np.ndarray]]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All-pairs distances of a stream of graphs of order n made of
-    ``parts`` in turn, each a pair (count, build): ``build(lo, hi)``
-    returns the (hi - lo, n, n) boolean adjacency stack of the part's
-    graphs lo to hi - 1.  Each slice of ``TABLE_ENTRIES`` // n² graphs,
-    at least one, is built from every part, with an empty range where it
-    does not reach one, and searched by ``_slice_sums``.  No slice
-    outlives its search, so a stream built on the fly never holds more
-    than one slice of its graphs.  Returns, per graph, the sum of the
-    distances of the pairs reached, the largest of them (the diameter of
-    a strongly connected graph) and whether every vertex reached every
-    vertex."""
-    step = max(1, TABLE_ENTRIES // (n * n))
+def slices(count: int, size: int) -> list[tuple[int, int]]:
+    """The bounds (lo, hi) of the slices of ``count`` items of ``size``
+    entries each, ``TABLE_ENTRIES`` // size items (at least one) a slice;
+    one empty slice for no items."""
+    step = max(1, TABLE_ENTRIES // size)
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)] or [(0, 0)]
+
+
+def stream(kernel: Callable, size: int, *parts: tuple[int, Callable[[int, int], np.ndarray]]):
+    """``kernel`` over the items of ``parts`` in turn, each a pair (count,
+    build) where ``build(lo, hi)`` returns the array of the part's items
+    lo to hi - 1.  Each of the ``slices`` of items of ``size`` entries is
+    built from every part, with an empty range where it misses one, and
+    passed to ``kernel``, uncopied where one part covers it, so a stream
+    holds one slice at a time.  Returns the kernel's outputs, one array
+    or a tuple of them, joined."""
     starts = list(accumulate((count for count, _ in parts), initial=0))
     out = []
-    for lo in range(0, starts[-1], step) or (0,):  # no graphs: one empty slice
-        hi = min(lo + step, starts[-1])
-        adj = np.concatenate([build(min(max(lo - start, 0), count), min(max(hi - start, 0), count))
-                              for start, (count, build) in zip(starts, parts)])
-        out.append(_slice_sums(adj))
-    return tuple(map(np.concatenate, zip(*out)))
+    for lo, hi in slices(starts[-1], size):
+        built = [build(min(max(lo - start, 0), count), min(max(hi - start, 0), count))
+                 for start, (count, build) in zip(starts, parts)]
+        full = [b for b in built if len(b)]
+        out.append(kernel(full[0] if len(full) == 1 else np.concatenate(built)))
+    if isinstance(out[0], tuple):
+        return tuple(map(np.concatenate, zip(*out)))
+    return np.concatenate(out)
+
+
+def distance_stream(n: int, *parts: tuple[int, Callable[[int, int], np.ndarray]]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``stream`` of ``_slice_sums`` over graphs of order n, n² entries
+    each, whose ``parts`` build boolean adjacency stacks: per graph, the
+    sum of the distances of the pairs reached, the largest of them (the
+    diameter of a strongly connected graph) and whether all were reached."""
+    return stream(_slice_sums, n * n, *parts)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ the diameter equality family, L_k replacement sets, bags and the
 extremal bag order selector k*.  ``FAMILIES`` is the one family table,
 name -> builder; a spec such as ``bag:12:5`` names a member.
 ``check_closed_forms`` compares the closed forms of cycle and bag specs
-with batched BFS, and ``best_known`` is the best known transmission
-price at order n.
+with the distance engine, and ``best_known`` is the best known
+transmission price at order n.
 """
 from __future__ import annotations
 
@@ -236,8 +236,9 @@ def build_family(spec: str) -> Digraph:
 
 @dataclass(frozen=True)
 class ClosedFormCheck:
-    """(sigma(G), sigma of the closure) by closed form and by BFS, and the
-    parity branch: that of n for a cycle (k None), of n - k for a bag."""
+    """(sigma(G), sigma of the closure) by closed form and by the
+    distance engine (field ``bfs``, column ``sigma_bfs``), and the parity
+    branch: that of n for a cycle (k None), of n - k for a bag."""
     n: int
     k: int | None
     parity: str
@@ -251,7 +252,7 @@ class ClosedFormCheck:
 
 def check_closed_forms(specs: list[str]) -> list[ClosedFormCheck]:
     """Compare the closed forms of each ``cycle:n`` or ``bag:n:k`` spec
-    with the BFS transmissions of the graph it builds and of its
+    with the engine's transmissions of the graph it builds and of its
     closure, in input order.  The graphs of each order are built and
     priced together by ``price_arrays``."""
     parsed, by_order = [], {}

@@ -4,10 +4,9 @@ Supported invariants: diameter, domination number, transmission and
 average distance.  Averages and quotients are exact ``Fraction`` values
 so equality cases of the extremal statements stay decidable.
 ``price_arrays`` prices an (N, n, n) boolean adjacency stack of graphs
-and their closures in int64; for the distance invariants the graphs and
-then their closures are one stream of the batched Floyd–Warshall
-(``digraph.distance_stream``), and domination goes in slices, so no
-more than a slice of closures is built at once.
+and their closures in int64, as one ``digraph.stream`` of the graphs
+and then their closures, so no more than a slice of closures is built
+at once.
 """
 from __future__ import annotations
 
@@ -17,8 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .digraph import (TABLE_ENTRIES, Digraph, bfs_levels, distance_stream, stack_rows,
-                      symmetric_closures)
+from .digraph import Digraph, bfs_levels, distance_stream, stack_rows, stream, symmetric_closures
 from .distances import bfs_row_sum
 from .errors import DomainError, SizeError
 
@@ -144,29 +142,24 @@ def objective_invariant(name: str) -> str:
 def price_arrays(adj: np.ndarray, invariant: str) -> tuple[np.ndarray, np.ndarray]:
     """The ``invariant`` values of every graph of an (N, n, n) boolean
     adjacency stack and of its symmetric closure, as ``price`` gives
-    them one graph at a time, all int64.  Distance invariants need
-    strongly connected graphs, as their scalar functions do: the N
-    graphs and then their N closures are the two parts of one
-    ``distance_stream``, each slice's closures built from only the
-    graphs it covers.  Domination takes any graph, in slices of
-    ``TABLE_ENTRIES`` // n graphs (n cover masks a graph), each with its
-    closures.  Either way no more than a slice of closures is held at
-    once."""
+    them one graph at a time, all int64: the N graphs and then their N
+    closures are one two-part ``digraph.stream``, each slice's closures
+    built from only the graphs it covers.  Domination takes any graph, n
+    cover masks each; the distance invariants, through
+    ``distance_stream``, need strongly connected graphs, as their scalar
+    functions do."""
     count, n = adj.shape[:2]
+    parts = (count, lambda lo, hi: adj[lo:hi]), (count, lambda lo, hi: symmetric_closures(adj[lo:hi]))
     if invariant == "domination":
-        step = TABLE_ENTRIES // n
-        parts = [adj[lo:lo + step] for lo in range(0, count, step) or (0,)]  # no graphs: one empty slice
-        value_g, value_sym = zip(*((_domination_array(part), _domination_array(symmetric_closures(part)))
-                                   for part in parts))
-        return np.concatenate(value_g), np.concatenate(value_sym)
-    if invariant not in ("transmission", "diameter"):
+        values = stream(_domination_array, n, *parts)
+    elif invariant in ("transmission", "diameter"):
+        total, depth_max, reached = distance_stream(n, *parts)
+        if not reached[:count].all():
+            first = int(reached.argmin())
+            raise DomainError(f"graph {list(stack_rows(adj[first:first + 1])[0])} not strongly connected")
+        values = total if invariant == "transmission" else depth_max
+    else:
         raise ValueError(f"no batched {invariant!r}, expected transmission, diameter or domination")
-    total, depth_max, reached = distance_stream(
-        n, (count, lambda lo, hi: adj[lo:hi]), (count, lambda lo, hi: symmetric_closures(adj[lo:hi])))
-    if not reached[:count].all():
-        first = int(reached.argmin())
-        raise DomainError(f"graph {list(stack_rows(adj[first:first + 1])[0])} not strongly connected")
-    values = total if invariant == "transmission" else depth_max
     return values[:count], values[count:]
 
 

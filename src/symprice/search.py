@@ -32,22 +32,19 @@ chunks of the code space (over a chunk's whole runs of low-half codes,
 the first permutation's images are the outer XOR of its two tables); the
 few survivors meet the rest of the group in blocks.
 
-The surviving codes are decoded, all slots at once, into an (N, n, n)
-boolean adjacency stack; the strong-connectivity filter is the
-reached-all flag of a one-part ``digraph.distance_stream``.  Each
-decoded slice becomes graphs through ``Digraph.from_stack``, which
-checks the slice once as a stack, not each class one by one.
+The surviving codes are decoded, all slots at once, ``digraph.slices``
+of classes (n row masks each) at a time, into (N, n, n) boolean
+adjacency stacks; the strong-connectivity filter is the reached-all flag
+of ``digraph.distance_stream``.  Each slice becomes graphs through
+``Digraph.from_stack``, which checks it once as a stack.
 
 The exhaustive reports (``verify_conjecture``, ``verify_theorems``,
 ``exhaustive_search``) each read one enumeration into such a stack
-(``_class_rows``) and make one scan step (``_scan``): price every class
-at once with ``invariants.price_arrays`` (batched distances, domination
-and closure, all int64; the classes and then their closures are one
-``digraph.distance_stream``) and rank the difference prices.  Every
-graph a report names (each maximiser, top entry and counterexample) is
-priced again by the scalar ``price``, and a disagreement raises
-InvariantViolation.  Single graphs keep the scalar path:
-``digraph.bfs_levels`` stays the only scalar frontier loop.
+(``_class_rows``) and make one scan step (``_scan``): price the classes
+and then their closures as one stream (``invariants.price_arrays``) and
+rank the difference prices.  Every graph a report names (each
+maximiser, top entry and counterexample) is priced again by the scalar
+``price``, and a disagreement raises InvariantViolation.
 
 The hill climber is a deterministic steepest-ascent search with warm
 starts from the known extremal families plus seeded random restarts.  A
@@ -55,11 +52,11 @@ step scores the single-arrow moves (removal, addition, reversal) that
 keep the graph strongly connected, in that order, and takes the first
 strictly best one; a climb ends at a local optimum or at its cap of
 evaluations.  The climbs run in lockstep (``_climb_group``): each round
-is one ``_step`` of every live climb, and ``_evaluated`` prices the
-round's moves of all climbs as one batch.  Each round builds the exact
-all-pairs distance matrices of its graphs and, for the distance
-objectives, of their closures Ḡ once, as int16, by the package's one
-batched Floyd–Warshall (``_distances``, over
+steps every live climb, ``digraph.slices`` of them (n² entries a climb)
+at a time, and ``_evaluated`` prices a slice's moves as one batch.  It
+builds the exact all-pairs distance matrices of its graphs and, for the
+distance objectives, of their closures Ḡ once, as int16, by the
+package's one batched Floyd–Warshall (``_distances``, over
 ``digraph.distance_stack``).  Adding an arrow u -> v only shortens
 paths, d'(s, t) = min(d(s, t), d(s, u) + 1 + d(v, t)), the insertion step
 of dynamic all-pairs shortest paths (Ausiello, Italiano,
@@ -73,22 +70,19 @@ its ``remaining``-th known-strong one.  A move's closure is Ḡ, or Ḡ with
 the one pair {u, v} toggled (the removal of a one-way arrow, or an
 addition on an empty pair), so it is keyed by that pair and each
 distinct closure is priced once.  The prefix's removals and reversals
-and the distinct closures that remove an edge of Ḡ, built from the
-round's boolean adjacency stacks, go through the same Floyd–Warshall as
-one ``digraph.distance_stream`` of two parts, built one slice at a
-time, whose reached-all flags drop the neighbours that are not strongly
-connected.  Domination needs only those flags, so it sends only the
-removals and reversals not known to keep the graph strong, and prices
-the evaluated graphs and their closures in one ``_domination_array``
-scan.  The starts of all climbs are priced together by
-``invariants.price_arrays`` before any climb is dispatched.  The climbs
-are dealt round-robin into ``min(worker_count(), cores, climbs)``
-groups, but no more than one per ``_GROUP_MOVES`` moves a round (climbs
-times ``min(cap, n * n)``): a smaller round is bound by the cost per
-numpy call, so a second process only adds a fork.  Each group runs in its own process, or in
-this process when there is one group.  Only the climbs that end at the
-best value get a canonical form (``_dedup_key``), to merge isomorphic
-maximisers.
+and the distinct closures that remove an edge of Ḡ go through the same
+Floyd–Warshall as one two-part ``digraph.distance_stream``, whose
+reached-all flags drop the neighbours that are not strongly connected.
+Domination needs only those flags, so it sends only the removals and
+reversals not known to keep the graph strong, and streams the evaluated
+graphs and their closures through ``_domination_array``.  The starts of
+all climbs are priced together by ``invariants.price_arrays`` before any
+climb is dispatched.  The climbs are dealt round-robin into
+``min(worker_count(), cores, climbs)`` groups, but no more than one per
+``_GROUP_MOVES`` moves a round (climbs times ``min(cap, n * n)``), each
+run in its own process, or in this process when there is one.  Only the
+climbs that end at the best value get a canonical form (``_dedup_key``),
+to merge isomorphic maximisers.
 """
 from __future__ import annotations
 
@@ -102,8 +96,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .digraph import (ISO_ORDER_CAP, TABLE_ENTRIES, Digraph, adjacency_stack, canonical_form, check_order,
-                      distance_stack, distance_stream, stack_rows, symmetric_closures)
+from .digraph import (ISO_ORDER_CAP, Digraph, adjacency_stack, canonical_form, check_order, distance_stack,
+                      distance_stream, slices, stack_rows, stream, symmetric_closures)
 from .errors import InvariantViolation, SizeError
 # OBJECTIVES stays importable from here for callers of the search API
 from .invariants import (OBJECTIVES, _domination_array, check_domination_order,  # noqa: F401
@@ -114,7 +108,6 @@ DIGRAPH_ORDER_CAP = 6
 TOURNAMENT_ORDER_CAP = 7
 _CHUNK_BITS = 22  # codes per scan chunk, as a power of two (32 MB of int64)
 _STAGE1_PERMS = 48  # permutations in the per-chunk pre-filter, and in each later block
-_DECODE_CHUNK = 1 << 15  # codes decoded per slice, to bound the stack and graphs held at once
 # moves a climb group's round must hold before a second group, and process,
 # pays: below it the cost per numpy call, not the data, sets a round's
 # time.  On two cores, 15 climbs at n = 12 (2160 moves a round)
@@ -234,8 +227,8 @@ def _enumerate(space: _CodeSpace, strongly_connected: bool):
     decoded and filtered for strong connectivity as stacks, a slice at a
     time."""
     codes = _class_codes(space.n, space.oriented)
-    for lo in range(0, len(codes), _DECODE_CHUNK):
-        adj = space.stack(codes[lo:lo + _DECODE_CHUNK])
+    for lo, hi in slices(len(codes), space.n):  # a slice of classes, n row masks each
+        adj = space.stack(codes[lo:hi])
         if strongly_connected:
             adj = adj[distance_stream(space.n, (len(adj), lambda lo, hi: adj[lo:hi]))[2]]
         yield from Digraph.from_stack(adj)
@@ -554,18 +547,16 @@ def _inserted(dist: np.ndarray, graph: np.ndarray, u: np.ndarray, v: np.ndarray,
     by the insertion step of dynamic all-pairs shortest paths: d'(s, t) =
     min(d(s, t), d(s, u) + 1 + d(v, t)), and for ``both`` also d(s, v) + 1
     + d(u, t), the transpose of that sum where d is symmetric.  The
-    insertions go in chunks of at most ``TABLE_ENTRIES`` matrix entries."""
-    n = dist.shape[1]
-    step = max(1, TABLE_ENTRIES // (n * n))
-    out = np.empty(len(graph), np.int64)
-    for lo in range(0, len(graph), step):
-        c, a, b = (x[lo:lo + step] for x in (graph, u, v))
+    inserted matrices go through ``_value`` as one ``digraph.stream``."""
+    def build(lo: int, hi: int) -> np.ndarray:
+        c, a, b = graph[lo:hi], u[lo:hi], v[lo:hi]
         via = dist[c, :, a][:, :, None] + 1 + dist[c, b][:, None, :]
         d = np.minimum(dist[c], via)
         if both:
             np.minimum(d, via.transpose(0, 2, 1), out=d)
-        out[lo:lo + step] = _value(d, invariant)
-    return out
+        return d
+
+    return stream(lambda d: _value(d, invariant), dist.shape[1] ** 2, (len(graph), build))
 
 
 def _ranks(flags: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -599,8 +590,8 @@ def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
     reached-all flags drop the removals and reversals that are not
     strongly connected.  Domination needs only those flags: it sends the
     removals and reversals not known to keep the graph strong, and
-    prices the evaluated graphs and their closures in one
-    ``_domination_array`` call."""
+    streams the evaluated graphs and their closures through
+    ``_domination_array``."""
     count, n = adj.shape[:2]
     climb, kind, u, v, pos, key = _neighbours(adj)
     dist = _distances(adj)
@@ -631,7 +622,7 @@ def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
     taken = np.flatnonzero(strong & (_ranks(strong, pos) < remaining[climb]))
     if invariant == "domination":
         keys = distinct(key[taken])
-        values = _domination_array(np.concatenate([build(0, size) for size, build in parts(taken, keys)]))
+        values = stream(_domination_array, n, *parts(taken, keys))
         value_g, value_sym = values[:len(taken)], values[len(taken) + np.searchsorted(keys, key[taken])]
     else:
         values = total if invariant == "transmission" else depth_max
@@ -670,24 +661,28 @@ def _step(adj: np.ndarray, value: np.ndarray, remaining: np.ndarray, invariant: 
 
 def _climb_group(job) -> list[tuple[int, int, tuple[int, ...]]]:
     """Steepest-ascent climbs of a group of starts in lockstep: each round
-    is one ``_step`` of every climb still live, and a climb ends at a
-    local optimum or once it has spent its cap of evaluations.  ``job``
-    is (adjacency stack, start values, invariant, cap), each start
-    counting as one evaluation; returns (value, evals, rows) per start,
-    rows shipped in place of a Digraph to stay small."""
+    steps every live climb, one ``_step`` per slice of them, and a climb
+    ends at a local optimum or once it has spent its cap of evaluations.
+    ``job`` is (adjacency stack, start values, invariant, cap), each
+    start counting as one evaluation; returns (value, evals, rows) per
+    start, rows shipped in place of a Digraph to stay small."""
     adj, value, invariant, cap = job
     adj, value = adj.copy(), np.array(value, np.int64)
     evals = np.ones(len(adj), np.int64)
     live = np.flatnonzero(evals < cap)
     while len(live):
-        spent, better, kind, u, v, best = _step(adj[live], value[live], cap - evals[live], invariant)
-        evals[live] += spent
-        better = live[better]
-        adj[better, u, v] ^= True
-        rev = kind == 2
-        adj[better[rev], v[rev], u[rev]] ^= True
-        value[better] = best
-        live = better[evals[better] < cap]
+        going = []
+        for lo, hi in slices(len(live), adj.shape[1] ** 2):  # each climb steps on its own
+            part = live[lo:hi]
+            spent, better, kind, u, v, best = _step(adj[part], value[part], cap - evals[part], invariant)
+            evals[part] += spent
+            better = part[better]
+            adj[better, u, v] ^= True
+            rev = kind == 2
+            adj[better[rev], v[rev], u[rev]] ^= True
+            value[better] = best
+            going.append(better[evals[better] < cap])
+        live = np.concatenate(going)
     return list(zip(value.tolist(), evals.tolist(), stack_rows(adj)))
 
 
@@ -771,8 +766,6 @@ def exhaustive_search(n: int, objective: str) -> SearchOutcome:
     """Exact maximisation of a price objective over isomorphism classes
     (strongly connected ones; all digraphs for domination)."""
     invariant = objective_invariant(objective)
-    if n < 1:  # before the scan, which cannot shape a stack of no vertices
-        raise ValueError(f"order must be >= 1, got {n}")
     t0 = time.monotonic()
     adj = _class_rows(n, strongly_connected=objective != "domination")
     _, best, maxi, _ = _scan(adj, invariant)

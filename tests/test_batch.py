@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symprice.digraph import (ORDER_CAP, TABLE_ENTRIES, Digraph, adjacency_stack, distance_stream, stack_rows,
-                              symmetric_closures)
+from symprice.digraph import (ORDER_CAP, TABLE_ENTRIES, Digraph, adjacency_stack, distance_stream, slices,
+                              stack_rows, stream, symmetric_closures)
 from symprice.distances import all_pairs_distances
 from symprice import formulas, invariants
 from symprice.errors import DomainError
@@ -199,20 +199,63 @@ def test_price_arrays_is_one_stream_graphs_first(monkeypatch, n, copies):
 
 
 def test_domination_prices_one_slice_at_a_time(monkeypatch):
-    # domination prices TABLE_ENTRIES // n graphs at a time, each slice
-    # with its own closures, so a scan holds one slice of closures: three
-    # copies of the 9608 classes of order 5 make two slices
-    sizes = []
-    closures = invariants.symmetric_closures
+    # domination prices the graphs and then their closures as one stream
+    # of TABLE_ENTRIES // n items, n cover masks each, so a scan holds one
+    # slice of closures: three copies of the 9608 classes of order 5 and
+    # their closures make three slices, the first of graphs only
+    sizes, priced = [], []
+    closures, domination = invariants.symmetric_closures, invariants._domination_array
     monkeypatch.setattr(invariants, "symmetric_closures", lambda adj: sizes.append(len(adj)) or closures(adj))
+    monkeypatch.setattr(invariants, "_domination_array",
+                        lambda adj: priced.append(len(adj)) or domination(adj))
     classes = list(enumerate_digraphs(5, strongly_connected=False))
     value_g, value_sym = price_arrays(stack(classes * 3), "domination")
-    assert sizes == [TABLE_ENTRIES // 5, 3 * len(classes) - TABLE_ENTRIES // 5] == [26214, 2610]
+    step, count = TABLE_ENTRIES // 5, 3 * len(classes)
+    assert priced == [step, step, 2 * count - 2 * step] == [26214, 26214, 5220]
+    assert sizes == [0, 2 * step - count, 2 * count - 2 * step] == [0, 23604, 5220]
     assert value_g.tolist() == [domination_number(g) for g in classes] * 3
     assert value_sym.tolist() == [domination_number(g.symmetric_closure()) for g in classes] * 3
+    priced.clear()  # the classes and their closures alone fit one slice
+    price_arrays(stack(classes), "domination")
+    assert priced == [2 * len(classes)] == [19216]
     sizes.clear()
     assert [p.tolist() for p in price_arrays(stack([], 5), "domination")] == [[], []]
     assert sizes == [0]
+
+
+def test_stream_joins_any_kernel_over_its_parts():
+    # a kernel that is not the distance engine, over parts of other
+    # arrays: slices of TABLE_ENTRIES // size items cross part boundaries,
+    # a slice inside one part is that part's own array, and the kernel's
+    # outputs, one array or a tuple of them, are joined in stream order
+    size = TABLE_ENTRIES // 100  # 100 items a slice
+    parts = [np.arange(count) + 1000 * k for k, count in enumerate([250, 0, 30, 120])]
+    whole = np.concatenate(parts)
+    seen = []
+
+    def kernel(batch):
+        seen.append(batch)
+        return batch * 2
+
+    got = stream(kernel, size, *((len(a), lambda lo, hi, a=a: a[lo:hi]) for a in parts))
+    assert got.tolist() == (whole * 2).tolist()
+    assert [len(b) for b in seen] == [100] * 4
+    assert all(np.shares_memory(b, parts[0]) for b in seen[:2])  # inside part 0: not copied
+    assert np.shares_memory(seen[3], parts[3])
+    assert not np.shares_memory(seen[2], parts[0])  # parts 0, 2 and 3 joined
+    assert slices(len(whole), size) == [(lo, lo + 100) for lo in range(0, 400, 100)]
+    pair = stream(lambda b: (b.min(keepdims=True), b.max(keepdims=True)), size,
+                  (len(whole), lambda lo, hi: whole[lo:hi]))
+    assert [p.tolist() for p in pair] == [[0, 100, 200, 3020], [99, 199, 3019, 3119]]
+
+
+def test_empty_stream_is_one_empty_slice():
+    seen = []
+    parts = [(0, lambda lo, hi: np.zeros((hi - lo, 3))), (0, lambda lo, hi: np.ones((hi - lo, 3)))]
+    got = stream(lambda b: seen.append(b.shape) or b.sum(axis=1), 9, *parts)
+    assert seen == [(0, 3)] and got.shape == (0,)
+    assert slices(0, 9) == [(0, 0)]
+    assert slices(5, 2 * TABLE_ENTRIES) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]  # one item at least
 
 
 def test_adjacency_stack_round_trips():

@@ -305,6 +305,13 @@ def test_search_exhaustive_rejects_order_below_one(capsys, n):
     assert err == f"error: order must be >= 1, got {n}\n"
 
 
+def test_domination_search_rejects_order_below_one(capsys):
+    # the enumeration refuses the order for the scan of all digraphs too
+    code, out, err = run(capsys, "search", "--mode", "exhaustive", "--n", "0", "--objective", "domination")
+    assert code == 1 and out == ""
+    assert err == "error: order must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("flag", [["--budget", "100"], ["--seed", "3"]])
 def test_search_exhaustive_rejects_heuristic_flags(capsys, flag):
     code, _, err = run(capsys, "search", "--mode", "exhaustive", "--n", "3", *flag)

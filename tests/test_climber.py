@@ -432,3 +432,29 @@ def test_short_caps_search_few_engine_rows(monkeypatch):
     rows = spy_engine(monkeypatch)
     assert hill_climb(65, "sigma", 200, 1).best_value == 78438
     assert sum(map(len, rows)) == 792
+
+
+def test_domination_climbs_price_in_slices(monkeypatch):
+    # a domination round streams its evaluated graphs and then their
+    # closures through _domination_array, TABLE_ENTRIES // n at a time
+    # (n cover masks a graph), not all of a round's 15996 in one call
+    monkeypatch.setenv("SYMPRICE_THREADS", "1")
+    sizes = []
+    domination = search._domination_array
+    monkeypatch.setattr(search, "_domination_array", lambda adj: sizes.append(len(adj)) or domination(adj))
+    out = hill_climb(14, "domination", 400000, 1)
+    assert (out.best_value, out.graphs_visited) == (2, 17161)
+    assert max(sizes) == TABLE_ENTRIES // 14 == 9362
+
+
+def test_large_order_round_steps_climbs_in_slices(monkeypatch):
+    # the 103 climbs at n = 100 step TABLE_ENTRIES // n² = 13 at a time, so
+    # a round's moves and distance matrices are held for one slice of
+    # climbs; each climb's step is its own, so the outcome cannot move
+    monkeypatch.setenv("SYMPRICE_THREADS", "1")
+    climbs = []
+    step = search._step
+    monkeypatch.setattr(search, "_step", lambda adj, *args: climbs.append(len(adj)) or step(adj, *args))
+    out = hill_climb(100, "sigma", 400, 1)
+    assert (out.best_value, out.graphs_visited) == (292183, 309)
+    assert climbs == [TABLE_ENTRIES // (100 * 100)] * 7 + [12]

@@ -1,6 +1,7 @@
 """Guard against dead code: every module-level function, class and
 constant of the package must be referenced somewhere in src/, scripts/
-or tests/."""
+or tests/.  And guard the one slice rule: only ``digraph`` reads the
+slice bound, so every batch is cut by ``digraph.slices``."""
 import ast
 from pathlib import Path
 
@@ -45,3 +46,19 @@ def test_every_module_level_function_is_referenced():
 def test_every_module_level_class_and_constant_is_referenced():
     dead = _unreferenced((ast.ClassDef, ast.Assign, ast.AnnAssign))
     assert not dead, f"module-level classes and constants referenced nowhere: {dead}"
+
+
+def test_only_digraph_cuts_batches():
+    # a batch is cut by digraph.slices or digraph.stream alone: no other
+    # package module reads the slice bound TABLE_ENTRIES
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "digraph.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            if "TABLE_ENTRIES" in names:
+                readers.append(f"{path.name}:{node.lineno}")
+    assert not readers, f"modules that cut batches by hand: {readers}"
