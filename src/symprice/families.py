@@ -158,7 +158,10 @@ SQRT2 = math.sqrt(2.0)
 
 
 def r_value(n: int) -> float:
-    return n * (SQRT2 - 1.0) + 8.0 - 11.0 * SQRT2 / 2.0
+    try:
+        return n * (SQRT2 - 1.0) + 8.0 - 11.0 * SQRT2 / 2.0
+    except OverflowError:
+        raise SizeError(f"n of {n.bit_length()} bits does not fit a float") from None
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,7 @@ def k_star(n: int) -> KStarResult:
 
     r = (2n-11)/sqrt(2) - n + 8 is irrational, so its floor comes from an
     integer square root and its ceiling is one more.  The float r is
-    only reported.
+    only reported; an n too large for a float raises SizeError.
     """
     if n < 11:
         raise DomainError(f"k* is defined for n >= 11, got {n}")

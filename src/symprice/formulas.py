@@ -1,32 +1,33 @@
 """Exact closed forms for transmissions and transmission prices.
 
-Everything with an integral value is evaluated in rationals and asserted
-integral before being returned, so a transcription slip in a polynomial
-coefficient faults instead of silently drifting.
+Every integral form is one integer numerator over one denominator,
+divided once by ``_exact``, which faults on a remainder, so a
+transcription slip in a polynomial coefficient faults instead of
+silently drifting.  ``Fraction`` serves only where an argument may be
+rational: the price cubic ``pos_cubic`` and the crossover cubic's sign.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise AssertionError(f"{what} evaluated to non-integer {x}")
-    return x.numerator
+def _exact(num: int, den: int, what: str) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError(f"{what} evaluated to non-integer {num}/{den}")
+    return q
 
 
 def sigma_cycle(n: int) -> int:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return _as_int(Fraction(n * n * (n - 1), 2), "sigma_cycle")
+    return _exact(n * n * (n - 1), 2, "sigma_cycle")
 
 
 def sigma_cycle_sym(n: int) -> int:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if n % 2 == 0:
-        return _as_int(Fraction(n**3, 4), "sigma_cycle_sym")
-    return _as_int(Fraction(n * (n + 1) * (n - 1), 4), "sigma_cycle_sym")
+    return _exact(n**3 if n % 2 == 0 else n * (n + 1) * (n - 1), 4, "sigma_cycle_sym")
 
 
 def pos_cycle(n: int) -> int:
@@ -37,7 +38,7 @@ def sigma_backward_tournament(n: int) -> int:
     """(n-1)(n^2+4n+6)/6, the closed form of sum_{i=2..n} C(i+1,2)."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    return _as_int(Fraction((n - 1) * (n * n + 4 * n + 6), 6), "sigma_backward")
+    return _exact((n - 1) * (n * n + 4 * n + 6), 6, "sigma_backward")
 
 
 def _check_nk(n: int, k: int) -> None:
@@ -47,32 +48,17 @@ def _check_nk(n: int, k: int) -> None:
 
 def sigma_hnk(n: int, k: int) -> int:
     _check_nk(n, k)
-    val = (
-        Fraction(n**3, 2)
-        - Fraction(n**2, 2)
-        + Fraction(k * (1 - k) * n, 2)
-        + Fraction((k - 1) * (k * k + 4 * k + 6), 6)
-    )
-    return _as_int(val, "sigma_hnk")
+    num = 3 * n**3 - 3 * n**2 + 3 * k * (1 - k) * n + (k - 1) * (k * k + 4 * k + 6)
+    return _exact(num, 6, "sigma_hnk")
 
 
 def sigma_hnk_sym(n: int, k: int) -> int:
     _check_nk(n, k)
     if (n - k) % 2 == 0:
-        val = (
-            Fraction(n**3, 4)
-            - Fraction((k - 2) * n**2, 4)
-            - Fraction((k - 2) * (k - 6) * n, 4)
-            + Fraction(k * (k - 2) * (k - 4), 4)
-        )
+        lin, const = (k - 2) * (k - 6), k * (k - 2) * (k - 4)
     else:
-        val = (
-            Fraction(n**3, 4)
-            - Fraction((k - 2) * n**2, 4)
-            - Fraction((k * k - 8 * k + 13) * n, 4)
-            + Fraction((k - 1) * (k - 2) * (k - 3), 4)
-        )
-    return _as_int(val, "sigma_hnk_sym")
+        lin, const = k * k - 8 * k + 13, (k - 1) * (k - 2) * (k - 3)
+    return _exact(n**3 - (k - 2) * n**2 - lin * n + const, 4, "sigma_hnk_sym")
 
 
 def pos_hnk(n: int, k: int) -> int:
@@ -108,12 +94,9 @@ def best_bag_pos(n: int) -> tuple[int, int]:
     admissible k; usable at any n >= 4, ties towards smaller k."""
     if n < 4:
         raise ValueError(f"need n >= 4 for a bag, got {n}")
-    best_k, best_pos = None, None
-    for k in range(3, n):
-        p = pos_hnk(n, k)
-        if best_pos is None or p > best_pos:
-            best_k, best_pos = k, p
-    return best_k, best_pos
+    pos = {k: pos_hnk(n, k) for k in range(3, n)}
+    k = max(pos, key=lambda k: (pos[k], -k))
+    return k, pos[k]
 
 
 # The cubic separating the cycle regime from the bag regime, highest

@@ -125,6 +125,16 @@ def test_kstar_domain_error(capsys):
     assert "11" in err
 
 
+def test_kstar_beyond_float_range_is_a_size_error(capsys):
+    # the reported float r overflows from n = 2**1024: one error line, no traceback
+    for n in (2**1024, 10**400):
+        code, out, err = run(capsys, "kstar", "--n", str(n))
+        assert code == 2 and out == ""
+        assert err == f"error: n of {n.bit_length()} bits does not fit a float\n"
+    code, out, _ = run(capsys, "kstar", "--n", str(2**1023))
+    assert code == 0 and out.startswith(f"n          {2**1023}")
+
+
 def test_transform_roundtrip(capsys, tmp_path):
     src = tmp_path / "in.txt"
     dst = tmp_path / "out.txt"

@@ -1,7 +1,9 @@
 """Guard against dead code: every module-level function, class and
 constant of the package must be referenced somewhere in src/, scripts/
-or tests/.  And guard the one slice rule: only ``digraph`` reads the
-slice bound, so every batch is cut by ``digraph.slices``."""
+or tests/.  Guard the one slice rule: only ``digraph`` reads the slice
+bound, so every batch is cut by ``digraph.slices``.  And guard the
+integer closed forms: only the functions of ``formulas`` whose argument
+may be rational name ``Fraction``."""
 import ast
 from pathlib import Path
 
@@ -62,3 +64,14 @@ def test_only_digraph_cuts_batches():
             if "TABLE_ENTRIES" in names:
                 readers.append(f"{path.name}:{node.lineno}")
     assert not readers, f"modules that cut batches by hand: {readers}"
+
+
+def test_formulas_compute_in_integers():
+    # an integral closed form is one numerator over one denominator, divided
+    # by formulas._exact; Fraction serves only a possibly rational argument
+    tree = ast.parse((PACKAGE / "formulas.py").read_text())
+    named = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+             and any(isinstance(node, ast.Name) and node.id == "Fraction"
+                     for node in ast.walk(fn))}
+    rational = {"pos_cubic", "crossover_sign"}
+    assert named <= rational, f"integer forms that name Fraction: {sorted(named - rational)}"

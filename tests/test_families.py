@@ -162,6 +162,13 @@ def test_check_closed_form():
         families.check_closed_forms(["cycle:6", "backward:6"])
 
 
+def test_check_closed_form_every_small_bag():
+    # every bag from n = 4, the smallest order best_bag_pos and the crossover table reach
+    specs = [families.family_spec("bag", n, k) for n in range(4, 11) for k in range(3, n)]
+    checks = families.check_closed_forms(specs)
+    assert len(checks) == 28 and all(c.ok for c in checks)
+
+
 def test_check_closed_form_reports_a_mismatch(monkeypatch):
     monkeypatch.setattr(formulas, "sigma_hnk", lambda n, k: -1)
     c, d = families.check_closed_forms(["bag:12:5", "cycle:12"])

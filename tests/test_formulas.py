@@ -37,8 +37,15 @@ def test_hnk_range_checks():
         formulas.sigma_hnk(8, 8)
 
 
+def test_exact_faults_on_a_remainder():
+    assert formulas._exact(-12, 4, "form") == -3
+    with pytest.raises(AssertionError, match="form evaluated to non-integer 7/2"):
+        formulas._exact(7, 2, "form")
+
+
 def test_pos_cubic_matches_integer_form():
-    for n in range(11, 25):
+    # pos_cubic is an independent Fraction polynomial in k
+    for n in range(4, 151):
         for k in range(3, n):
             parity = "even" if (n - k) % 2 == 0 else "odd"
             assert formulas.pos_cubic(n, k, parity) == formulas.pos_hnk(n, k)
