@@ -25,12 +25,19 @@ the tables for a block of permutations at once, with one doubling loop
 per table, from a (P, slots) int64 array of destination slots: for
 digraphs (a, b) is slot a(n - 1) + b - [b > a]; for tournaments the pair
 a > b is slot a(a - 1)/2 + b, and its bit flips when the permutation
-reverses the pair.  The group is tried in order of points moved,
-transpositions first, since small supports reject most non-minimal
-codes.  A first stage runs the first ``_STAGE1_PERMS`` permutations over
-chunks of the code space (over a chunk's whole runs of low-half codes,
-the first permutation's images are the outer XOR of its two tables); the
-few survivors meet the rest of the group in blocks.
+reverses the pair.  Every capped code fits in 30 bits, so the tables are
+int32; the codes, which index them, stay int64.  The group is tried in
+order of points moved, transpositions first, since small supports reject
+most non-minimal codes.  Both stages of the scan are cut by the one slice
+rule.  The first runs the first ``_STAGE1_PERMS`` permutations over
+``digraph.slices`` of runs, a run being the 2^half codes that share
+their high half (over whole runs, the first permutation's images are the
+outer XOR of its two tables).  The few survivors meet the rest of the
+group in blocks of as many permutations, each block one
+``digraph.stream`` of keep-masks over the survivors, so no temporary
+spans all of them.  At n = 6 the scan holds little more than the
+3,099,376 survivors of the first stage (24.8 MB) and one block's tables
+(12.6 MB).
 
 The surviving codes are decoded, all slots at once, ``digraph.slices``
 of classes (n row masks each) at a time, into (N, n, n) boolean
@@ -106,8 +113,7 @@ from . import families
 
 DIGRAPH_ORDER_CAP = 6
 TOURNAMENT_ORDER_CAP = 7
-_CHUNK_BITS = 22  # codes per scan chunk, as a power of two (32 MB of int64)
-_STAGE1_PERMS = 48  # permutations in the per-chunk pre-filter, and in each later block
+_STAGE1_PERMS = 48  # permutations in the pre-filter, and in each later block
 # moves a climb group's round must hold before a second group, and process,
 # pays: below it the cost per numpy call, not the data, sets a round's
 # time.  On two cores, 15 climbs at n = 12 (2160 moves a round)
@@ -165,26 +171,28 @@ def _tables(dest: np.ndarray, flip: np.ndarray) -> tuple[int, np.ndarray, np.nda
     their slot maps: row p of ``lo`` (``hi``) takes each code over the
     low ``half`` (the remaining) slots to its bits moved to ``dest[p]``,
     with ``flip[p]`` folded into ``lo``.  The image of code c under p is
-    ``lo[p, c & (1 << half) - 1] ^ hi[p, c >> half]``."""
+    ``lo[p, c & (1 << half) - 1] ^ hi[p, c >> half]``.  Every capped code
+    fits in 30 bits, so the tables are int32."""
     half = dest.shape[1] // 2
     halves = dest[:, :half], dest[:, half:]
-    lo, hi = (np.zeros((len(dest), 1 << d.shape[1]), dtype=np.int64) for d in halves)
+    lo, hi = (np.zeros((len(dest), 1 << d.shape[1]), dtype=np.int32) for d in halves)
     for table, d in zip((lo, hi), halves):
+        bits = (1 << d).astype(np.int32)
         for b in range(d.shape[1]):  # codes with top bit b are those below it plus bit b
-            table[:, 1 << b: 2 << b] = table[:, : 1 << b] | 1 << d[:, b, None]
-    lo ^= flip[:, None]
+            table[:, 1 << b: 2 << b] = table[:, : 1 << b] | bits[:, b, None]
+    lo ^= flip[:, None].astype(np.int32)
     return half, lo, hi
 
 
 def _prefilter(start: int, stop: int, half: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The codes in range(start, stop), whole runs of 2^half codes, that
-    no permutation with a row in the ``_tables`` maps below themselves.
-    Over whole runs the first permutation's images are the outer XOR of
-    its two tables; the survivors meet the others one row at a time."""
+    """The codes in range(start, stop), a slice of whole runs of 2^half
+    codes, that no permutation with a row in the ``_tables`` maps below
+    themselves.  Over whole runs the first permutation's images are the
+    outer XOR of its two tables; the survivors meet the others one row
+    at a time."""
     codes = np.arange(start, stop, dtype=np.int64)
     if len(lo):  # only order 1 has no permutation but the identity
-        codes = np.flatnonzero((hi[0, start >> half: stop >> half, None] ^ lo[0]).ravel() >= codes)
-        codes += start
+        codes = codes[(hi[0, start >> half: stop >> half, None] ^ lo[0]).ravel() >= codes]
     low = (1 << half) - 1
     for p_lo, p_hi in zip(lo[1:], hi[1:]):
         codes = codes[p_lo[codes & low] ^ p_hi[codes >> half] >= codes]
@@ -192,23 +200,24 @@ def _prefilter(start: int, stop: int, half: int, lo: np.ndarray, hi: np.ndarray)
 
 
 def _minimal_codes(space: _CodeSpace) -> np.ndarray:
-    """The codes minimal in their orbit, ascending.  Chunks of the code
-    space meet a cheap pre-filter, the first ``_STAGE1_PERMS``
-    permutations; the survivors meet the rest of the group in blocks of
-    as many, and a code stays if it is at most its image under every
-    permutation of the block."""
+    """The codes minimal in their orbit, ascending.  The first
+    ``_STAGE1_PERMS`` permutations pre-filter the code space a slice of
+    runs at a time (``slices`` of the runs of 2^half codes: whole runs,
+    at most ``TABLE_ENTRIES`` codes or one run a slice).  The survivors
+    meet the rest of the group in blocks of as many permutations, over
+    int32 tables.  Each block is one ``stream`` of keep-masks, a code's
+    entries being its images under the block; a code stays if it is at
+    most all of them."""
     dest, flip = space.slot_maps(_group(space.n))
-    size = 1 << len(space.slots)
-    chunk = min(size, 1 << _CHUNK_BITS)
     half, lo, hi = _tables(dest[:_STAGE1_PERMS], flip[:_STAGE1_PERMS])
-    codes = np.concatenate([_prefilter(start, start + chunk, half, lo, hi)
-                            for start in range(0, size, chunk)])
+    runs = slices(1 << len(space.slots) >> half, 1 << half)
+    codes = np.concatenate([_prefilter(first << half, last << half, half, lo, hi)
+                            for first, last in runs])
+    low = (1 << half) - 1
     for start in range(_STAGE1_PERMS, len(dest), _STAGE1_PERMS):
         _, lo, hi = _tables(dest[start:start + _STAGE1_PERMS], flip[start:start + _STAGE1_PERMS])
-        low_half, high_half = codes & (1 << half) - 1, codes >> half
-        keep = np.ones(len(codes), dtype=bool)
-        for p_lo, p_hi in zip(lo, hi):
-            keep &= p_lo[low_half] ^ p_hi[high_half] >= codes
+        keep = stream(lambda c: (np.take(lo, c & low, 1) ^ np.take(hi, c >> half, 1) >= c).all(0),
+                      len(lo), (len(codes), lambda first, last: codes[first:last]))
         codes = codes[keep]
     return codes
 
@@ -330,12 +339,11 @@ def verify_theorems(n: int) -> list[TheoremReport]:
                                     | (value_sym > 0) & (value_g > (n - 1) * value_sym))
         cex = _repriced(adj, prices, invariant, over_bound[:1])[0] if len(over_bound) else None
         family = {canonical_form(g) for g in expected}
-        found = {canonical_form(g) for g in maxi}
-        match = found == family and best == n - 2
+        forms = [canonical_form(g) for g in maxi]
+        match = set(forms) == family and best == n - 2
         if cex is None and not match:
             # prefer an unexpected maximizer as the exhibit
-            cex = next((g for g in maxi if canonical_form(g) not in family),
-                       maxi[0])
+            cex = next((g for g, form in zip(maxi, forms) if form not in family), maxi[0])
         reports.append(
             TheoremReport(
                 n=n,

@@ -1,12 +1,14 @@
+import hashlib
 import itertools
 import math
 import os
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from symprice import families, formulas, invariants, search
+from symprice import digraph, families, formulas, invariants, search
 from symprice.cli import main
 from symprice.digraph import Digraph, canonical_form, stack_rows
 from symprice.errors import SizeError
@@ -147,6 +149,29 @@ def test_repeated_enumeration_matches_a_fresh_scan(enumerate_fn, oriented, max_n
         space = search._CodeSpace(n, oriented)
         fresh = [Digraph(n, rows) for rows in stack_rows(space.stack(search._minimal_codes(space)))]
         assert first == again == [g.rows for g in fresh if not sc or g.is_strongly_connected()]
+
+
+@pytest.mark.parametrize("entries", [1 << 11, 1])  # 1: one run of codes a slice
+def test_scan_does_not_depend_on_where_slices_fall(monkeypatch, entries):
+    spaces = [search._CodeSpace(n, False) for n in range(1, 6)]
+    spaces += [search._CodeSpace(n, True) for n in range(1, 8)]
+    default = [search._minimal_codes(space) for space in spaces]
+    monkeypatch.setattr(digraph, "TABLE_ENTRIES", entries)
+    for space, codes in zip(spaces, default):
+        assert search._minimal_codes(space).tolist() == codes.tolist(), (space.n, space.oriented)
+
+
+@pytest.mark.parametrize("n,oriented,limit_mb", [(7, True, 8), (5, False, 6)])
+def test_scan_memory_is_bounded_by_its_slices(n, oriented, limit_mb):
+    space = search._CodeSpace(n, oriented)
+    search._minimal_codes(search._CodeSpace(3, oriented))  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        search._minimal_codes(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb << 20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_tournaments_are_tournaments():
@@ -355,3 +380,11 @@ def test_hill_climb_starts_at_most_one_process_per_core(monkeypatch):
 @pytest.mark.slow
 def test_enumeration_n6_count():
     assert sum(1 for _ in enumerate_digraphs(6, strongly_connected=False)) == 1540944
+
+
+@pytest.mark.slow
+def test_enumeration_n6_classes_are_pinned():
+    codes = search._class_codes(6, False)
+    assert (hashlib.sha256(codes.astype("<i8").tobytes()).hexdigest()
+            == "384496b37a6b69a2050fb1c38d11966e3e4d5c2c9bf206a46f20ed2e2042eda4")
+    assert sum(1 for _ in enumerate_digraphs(6)) == 1047008
