@@ -9,8 +9,10 @@ import argparse
 import json
 import sys
 
+from symprice.cli import SCHEMA
+from symprice.errors import SizeError
 from symprice.families import best_known
-from symprice.search import DIGRAPH_ORDER_CAP, hill_climb, verify_conjecture
+from symprice.search import hill_climb, verify_conjecture
 
 
 def main(argv=None) -> int:
@@ -28,12 +30,9 @@ def main(argv=None) -> int:
     beaten = False
     for n in range(args.min_n, args.max_n + 1):
         target = best_known(n)
-        if n <= DIGRAPH_ORDER_CAP:
+        try:
             r = verify_conjecture(n)
-            rec = {"n": n, "mode": "exhaustive", "best": r.best_value,
-                   "target": target, "classes": r.classes_checked,
-                   "unique_cycle": r.ok}
-        else:
+        except SizeError:  # beyond the orders enumeration reaches
             try:
                 out = hill_climb(n, "sigma", budget=args.budget, seed=args.seed)
             except ValueError as e:  # a budget below the number of starts
@@ -41,6 +40,10 @@ def main(argv=None) -> int:
             rec = {"n": n, "mode": "heuristic", "best": out.best_value,
                    "target": target, "visited": out.graphs_visited,
                    "elapsed": round(out.elapsed, 2)}
+        else:
+            rec = {"n": n, "mode": "exhaustive", "best": r.best_value,
+                   "target": target, "classes": r.classes_checked,
+                   "unique_cycle": r.ok}
         if rec["best"] > target:
             rec["note"] = "EXCEEDS KNOWN FAMILY VALUE - investigate"
             beaten = True
@@ -49,7 +52,7 @@ def main(argv=None) -> int:
             print(" ".join(f"{k}={v}" for k, v in rec.items()), flush=True)
 
     if args.json:
-        print(json.dumps({"schema": "symprice/1", "sweep": records}, indent=2))
+        print(json.dumps({"schema": SCHEMA, "sweep": records}, indent=2))
     return 3 if beaten else 0
 
 

@@ -15,12 +15,10 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .digraph import Digraph, adjacency_stack, canonical_form, check_order
+from .digraph import ISO_ORDER_CAP, Digraph, adjacency_stack, canonical_form, check_order
 from .errors import DomainError, SizeError
 from .invariants import price_arrays
 from . import formulas
-
-B_FAMILY_ORDER_CAP = 8  # 2^(n-1) graphs before dedup
 
 
 def cycle(n: int) -> Digraph:
@@ -63,8 +61,8 @@ def b_family(n: int) -> list[Digraph]:
     of reversed path arrows (i+1, i), deduplicated by isomorphism."""
     if n < 3:
         raise ValueError(f"family needs n >= 3, got {n}")
-    if n > B_FAMILY_ORDER_CAP:
-        raise SizeError(f"family explodes beyond n={B_FAMILY_ORDER_CAP}, got {n}")
+    if n > ISO_ORDER_CAP:  # each of the 2^(n-1) graphs gets a canonical form
+        raise SizeError(f"canonical form supported up to n={ISO_ORDER_CAP}, got {n}")
     base = backward_tournament(n)
     back = [(i + 1, i) for i in range(n - 1)]
     seen: dict[bytes, Digraph] = {}

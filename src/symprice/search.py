@@ -12,12 +12,12 @@ with numpy).  There are two code spaces:
 
 In both spaces code order is adjacency-mask order, so each class is
 represented by its member with the minimal adjacency mask, and the
-representatives come out in ascending mask order.  That is feasible up
-to n = 6 for digraphs and n = 7 for tournaments.  Each order's codes are
-scanned once per process: ``_class_codes`` caches them, read-only, for
-every later enumeration.  The cache holds codes only, so the order caps
-bound it; its largest entry, the 1,540,944 digraph classes of order 6,
-takes 12.3 MB.
+representatives come out in ascending mask order.  A scan covers at
+most 2^``_CODE_BITS`` codes: digraphs to n = 6 (30 slots), tournaments
+to n = 8 (28 slots).  Each order's codes are scanned once per process:
+``_class_codes`` caches them, read-only, for every later enumeration.
+The cache holds codes only, so that bound bounds it; its largest entry,
+the 1,540,944 digraph classes of order 6, takes 12.3 MB.
 
 A permutation acts on codes through two lookup tables, one per half of
 the slots; a code's image is the XOR of its two entries.  numpy builds
@@ -25,8 +25,8 @@ the tables for a block of permutations at once, with one doubling loop
 per table, from a (P, slots) int64 array of destination slots: for
 digraphs (a, b) is slot a(n - 1) + b - [b > a]; for tournaments the pair
 a > b is slot a(a - 1)/2 + b, and its bit flips when the permutation
-reverses the pair.  Every capped code fits in 30 bits, so the tables are
-int32; the codes, which index them, stay int64.  The group is tried in
+reverses the pair.  A code has at most ``_CODE_BITS`` bits, so the tables
+are int32; the codes, which index them, stay int64.  The group is tried in
 order of points moved, transpositions first, since small supports reject
 most non-minimal codes.  Both stages of the scan are cut by the one slice
 rule.  The first runs the first ``_STAGE1_PERMS`` permutations over
@@ -111,8 +111,9 @@ from .invariants import (OBJECTIVES, _domination_array, check_domination_order, 
                          objective_invariant, price, price_arrays)
 from . import families
 
-DIGRAPH_ORDER_CAP = 6
-TOURNAMENT_ORDER_CAP = 7
+# a scan covers at most 2^_CODE_BITS codes: its permutation tables are int32,
+# and the 2^30-code digraph scan at n = 6 takes about 21 s
+_CODE_BITS = 30
 _STAGE1_PERMS = 48  # permutations in the pre-filter, and in each later block
 # moves a climb group's round must hold before a second group, and process,
 # pays: below it the cost per numpy call, not the data, sets a round's
@@ -130,6 +131,10 @@ class _CodeSpace:
     def __init__(self, n: int, oriented: bool):
         if n < 1:
             raise ValueError(f"order must be >= 1, got {n}")
+        bits = n * (n - 1) // (2 if oriented else 1)
+        if bits > _CODE_BITS:
+            raise SizeError(f"{('digraph', 'tournament')[oriented]} enumeration at n={n} has {bits} slots; "
+                            f"a scan covers at most 2^{_CODE_BITS} codes")
         self.n, self.oriented = n, oriented
         self.slots = [(u, v) for u in range(n) for v in range(u if oriented else n) if u != v]
 
@@ -171,8 +176,8 @@ def _tables(dest: np.ndarray, flip: np.ndarray) -> tuple[int, np.ndarray, np.nda
     their slot maps: row p of ``lo`` (``hi``) takes each code over the
     low ``half`` (the remaining) slots to its bits moved to ``dest[p]``,
     with ``flip[p]`` folded into ``lo``.  The image of code c under p is
-    ``lo[p, c & (1 << half) - 1] ^ hi[p, c >> half]``.  Every capped code
-    fits in 30 bits, so the tables are int32."""
+    ``lo[p, c & (1 << half) - 1] ^ hi[p, c >> half]``.  A code has at most
+    ``_CODE_BITS`` bits, so the tables are int32."""
     half = dest.shape[1] // 2
     halves = dest[:, :half], dest[:, half:]
     lo, hi = (np.zeros((len(dest), 1 << d.shape[1]), dtype=np.int32) for d in halves)
@@ -246,16 +251,12 @@ def _enumerate(space: _CodeSpace, strongly_connected: bool):
 def enumerate_digraphs(n: int, strongly_connected: bool = True):
     """Yield one representative per isomorphism class of simple digraphs
     of order n, optionally restricted to strongly connected ones."""
-    if n > DIGRAPH_ORDER_CAP:
-        raise SizeError(f"digraph enumeration capped at n={DIGRAPH_ORDER_CAP}, got {n}")
     yield from _enumerate(_CodeSpace(n, oriented=False), strongly_connected)
 
 
 def enumerate_tournaments(n: int, strongly_connected: bool = True):
     """Yield one representative per isomorphism class of tournaments of
     order n (strongly connected ones by default)."""
-    if n > TOURNAMENT_ORDER_CAP:
-        raise SizeError(f"tournament enumeration capped at n={TOURNAMENT_ORDER_CAP}, got {n}")
     yield from _enumerate(_CodeSpace(n, oriented=True), strongly_connected)
 
 
@@ -319,9 +320,7 @@ def _repriced(adj: np.ndarray, prices, invariant: str, indices) -> list[Digraph]
 
 def verify_theorems(n: int) -> list[TheoremReport]:
     """Exhaustively confirm the diameter and domination price bounds and
-    their equality families at order n (n <= 5)."""
-    if n > 5:
-        raise SizeError(f"theorem verification capped at n=5, got {n}")
+    their equality families at order n, as far as ``enumerate_digraphs`` goes."""
     if n < 3:
         raise ValueError(f"the theorems require n >= 3, got {n}")
     reports = []

@@ -129,6 +129,14 @@ def test_criterion_07_theorem_checks(n):
     verdict(7, f"theorem maximizer families and bounds, n={n} ({detail})", ok)
 
 
+@pytest.mark.slow
+def test_criterion_07_theorem_checks_n6():
+    reports = verify_theorems(6)
+    got = [(r.invariant, r.ok, r.best_value, r.classes_checked) for r in reports]
+    verdict(7, "theorem maximizer families and bounds, n=6",
+            got == [("diameter", True, 4, 1047008), ("domination", True, 4, 1540944)])
+
+
 def test_criterion_08_tournament_extremality():
     ok = True
     for n in range(3, 7):

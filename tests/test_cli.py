@@ -187,6 +187,17 @@ def test_orders_above_the_order_cap_are_refused(capsys, tmp_path, argv):
     assert err == f"error: graph order capped at n={ORDER_CAP}, got {HUGE}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-conjecture", "--n", "7"],
+    ["verify-theorems", "--n", "7"],
+    ["search", "--mode", "exhaustive", "--n", "7"],
+], ids=["verify-conjecture", "verify-theorems", "exhaustive-search"])
+def test_orders_beyond_the_code_space_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: digraph enumeration at n=7 has 42 slots; a scan covers at most 2^30 codes\n"
+
+
 @pytest.mark.parametrize("argv, module, work", [
     (["search", "--mode", "heuristic", "--n", str(ORDER_CAP + 1)], search, "_warm_starts"),
     (["verify-closed-forms", "--max-n", str(ORDER_CAP + 1)], families, "family_spec"),

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from symprice import families, formulas
-from symprice.digraph import ORDER_CAP, are_isomorphic, canonical_form
+from symprice.digraph import ISO_ORDER_CAP, ORDER_CAP, Digraph, are_isomorphic, canonical_form
 from symprice.errors import DomainError, SizeError
 from symprice.families import BagSpec, bag, canonical_bag
 from symprice.invariants import transmission
@@ -47,6 +47,17 @@ def test_b_family_contains_base_and_dedupes():
     base = canonical_form(families.backward_tournament(4))
     assert base in {canonical_form(g) for g in fam}
     assert len({canonical_form(g) for g in fam}) == len(fam)
+
+
+def test_b_family_reaches_the_canonical_form_cap(monkeypatch):
+    # the 2^(n-1) graphs at n = 9 are 256 classes; above ISO_ORDER_CAP none
+    # of them could get a canonical form, so none is built
+    assert len(families.b_family(9)) == 256
+    built, post_init = [], Digraph.__post_init__
+    monkeypatch.setattr(Digraph, "__post_init__", lambda self: built.append(self) or post_init(self))
+    with pytest.raises(SizeError, match=f"up to n={ISO_ORDER_CAP}, got {ISO_ORDER_CAP + 1}"):
+        families.b_family(ISO_ORDER_CAP + 1)
+    assert built == []
 
 
 def test_l_set_includes_original():

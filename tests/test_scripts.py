@@ -1,9 +1,11 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from symprice import formulas
+from symprice.cli import SCHEMA
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -41,3 +43,14 @@ def test_scripts_reject_arguments_out_of_range(capsys, script, argv, minimum):
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert minimum in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, modes", [
+    (["--min-n", "4", "--max-n", "5"], ["exhaustive", "exhaustive"]),
+    (["--min-n", "7", "--max-n", "7", "--budget", "100"], ["heuristic"]),
+], ids=["enumerated", "beyond-enumeration"])
+def test_conjecture_sweep_climbs_where_enumeration_stops(capsys, argv, modes):
+    assert load_script("conjecture_sweep").main([*argv, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["schema"] == SCHEMA
+    assert [r["mode"] for r in report["sweep"]] == modes

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -100,6 +101,23 @@ def test_enumeration_cap():
         next(enumerate_digraphs(7))
 
 
+@pytest.mark.parametrize("enumerate_fn, kind, n, slots", [
+    (enumerate_digraphs, "digraph", 7, 42),
+    (enumerate_tournaments, "tournament", 9, 36),
+    (enumerate_digraphs, "digraph", 10 ** 6, 10 ** 6 * (10 ** 6 - 1)),
+])
+def test_enumeration_is_bounded_by_the_code_space(monkeypatch, enumerate_fn, kind, n, slots):
+    # refused from the slot count alone, before the scan or its slot list
+    scans = []
+    monkeypatch.setattr(search, "_minimal_codes", scans.append)
+    t0 = time.monotonic()
+    with pytest.raises(SizeError) as e:
+        next(enumerate_fn(n))
+    assert time.monotonic() - t0 < 0.5
+    assert str(e.value) == f"{kind} enumeration at n={n} has {slots} slots; a scan covers at most 2^30 codes"
+    assert scans == []
+
+
 def test_tournament_counts():
     # all: 2, 4, 12, 56, 456 (A000568); strongly connected: 1, 1, 6, 35, 353 (A051337)
     assert sum(1 for _ in enumerate_tournaments(3, strongly_connected=False)) == 2
@@ -188,6 +206,18 @@ def test_b5_sigma_maximal_among_tournaments():
     best = max(enumerate_tournaments(5), key=transmission)
     assert transmission(best) == 34
     assert canonical_form(best) == canonical_form(families.backward_tournament(5))
+
+
+@pytest.mark.parametrize("n, best", [(3, 9), (4, 19), (5, 34), (6, 55), (7, 83),
+                                     pytest.param(8, 119, marks=pytest.mark.slow)])
+def test_backward_tournament_alone_has_the_largest_transmission(n, best):
+    # among the strong tournaments (Moon, Topics on Tournaments, 1968)
+    tournaments = list(enumerate_tournaments(n))
+    adj = digraph.adjacency_stack((t.rows for t in tournaments), n)
+    sigma = invariants.price_arrays(adj, "transmission")[0]
+    assert best == sigma.max() == formulas.sigma_backward_tournament(n)
+    (top,) = (sigma == best).nonzero()[0]
+    assert canonical_form(tournaments[top]) == canonical_form(families.backward_tournament(n))
 
 
 def test_verify_theorems_n4_and_n5():
@@ -388,3 +418,10 @@ def test_enumeration_n6_classes_are_pinned():
     assert (hashlib.sha256(codes.astype("<i8").tobytes()).hexdigest()
             == "384496b37a6b69a2050fb1c38d11966e3e4d5c2c9bf206a46f20ed2e2042eda4")
     assert sum(1 for _ in enumerate_digraphs(6)) == 1047008
+
+
+@pytest.mark.slow
+def test_enumeration_reaches_tournaments_of_order_8():
+    # all (A000568) and strongly connected (A051337)
+    assert sum(1 for _ in enumerate_tournaments(8, strongly_connected=False)) == 6880
+    assert sum(1 for _ in enumerate_tournaments(8)) == 6008
