@@ -20,6 +20,7 @@ import io as _stdio
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -362,28 +363,27 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse exits 2 on usage problems and 0 on --help
         return EXIT_OK if e.code == 0 else EXIT_USAGE
-    try:
-        # every output path is checked before the work starts
-        for path in (getattr(args, "out", None), getattr(args, "trace", None)):
-            if path:
-                _check_writable(path)
-        return args.fn(args)
-    except (ValueError, FormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainError, SizeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except InvariantViolation as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except BrokenPipeError:
-        # the reader went away (e.g. `| head`); silence the final flush
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
-    except OSError as e:  # an unreadable input or unwritable output file
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings():  # a warning is one line on standard error
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            # every output path is checked before the work starts
+            for path in (getattr(args, "out", None), getattr(args, "trace", None)):
+                if path:
+                    _check_writable(path)
+            return args.fn(args)
+        except BrokenPipeError:
+            # the reader went away (e.g. `| head`); silence the final flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_OK
+        except (ValueError, FormatError, OSError) as e:  # OSError: an unreadable input or unwritable output
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_USAGE
+        except (DomainError, SizeError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_DOMAIN
+        except InvariantViolation as e:
+            print(f"internal error: {e}", file=sys.stderr)
+            return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Text format: first line ``n <order>``, then one line ``u v`` per arrow
 (0-based).  ``#`` starts a comment; blank lines are ignored.  JSON form:
 ``{"n": ..., "arrows": [[u, v], ...]}`` with JSON integers only.  Both
-round-trip bit-exactly.
+round-trip bit-exactly, and in both a repeated arrow warns and is kept once.
 """
 from __future__ import annotations
 
@@ -21,10 +21,20 @@ def to_text(g: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _graph(n: int, arrows: list[tuple[int, int]], places: list[str]) -> Digraph:
+    """The graph of ``arrows``; a repeat warns, naming its place, and is kept once."""
+    seen: set[tuple[int, int]] = set()
+    for arrow, place in zip(arrows, places):
+        if arrow in seen:
+            warnings.warn(f"duplicate arrow ({arrow[0]},{arrow[1]}) at {place}, deduplicated")
+        seen.add(arrow)
+    return Digraph.from_arrows(n, arrows)
+
+
 def from_text(text: str) -> Digraph:
     n = None
     arrows: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    places: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -51,14 +61,11 @@ def from_text(text: str) -> Digraph:
             raise FormatError(f"loop arrow ({u},{v})", line=lineno)
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"arrow ({u},{v}) out of range", line=lineno)
-        if (u, v) in seen:
-            warnings.warn(f"duplicate arrow ({u},{v}) at line {lineno}, deduplicated")
-            continue
-        seen.add((u, v))
         arrows.append((u, v))
+        places.append(f"line {lineno}")
     if n is None:
         raise FormatError("empty graph file, missing 'n <order>' header")
-    return Digraph.from_arrows(n, arrows)
+    return _graph(n, arrows, places)
 
 
 def to_json_obj(g: Digraph) -> dict:
@@ -80,7 +87,7 @@ def from_json_obj(obj: dict) -> Digraph:
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad graph JSON: {e}") from None
     try:
-        return Digraph.from_arrows(n, arrows)
+        return _graph(n, arrows, [f"arrows[{i}]" for i in range(len(arrows))])
     except ValueError as e:
         raise FormatError(str(e)) from None
 

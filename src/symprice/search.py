@@ -19,31 +19,32 @@ to n = 8 (28 slots).  Each order's codes are scanned once per process:
 The cache holds codes only, so that bound bounds it; its largest entry,
 the 1,540,944 digraph classes of order 6, takes 12.3 MB.
 
-A permutation acts on codes through two lookup tables, one per half of
-the slots; a code's image is the XOR of its two entries.  numpy builds
-the tables for a block of permutations at once, with one doubling loop
-per table, from a (P, slots) int64 array of destination slots: for
-digraphs (a, b) is slot a(n - 1) + b - [b > a]; for tournaments the pair
-a > b is slot a(a - 1)/2 + b, and its bit flips when the permutation
-reverses the pair.  A code has at most ``_CODE_BITS`` bits, so the tables
-are int32; the codes, which index them, stay int64.  The group is tried in
-order of points moved, transpositions first, since small supports reject
-most non-minimal codes.  Both stages of the scan are cut by the one slice
-rule.  The first runs the first ``_STAGE1_PERMS`` permutations over
-``digraph.slices`` of runs, a run being the 2^half codes that share
-their high half (over whole runs, the first permutation's images are the
-outer XOR of its two tables).  The few survivors meet the rest of the
-group in blocks of as many permutations, each block one
-``digraph.stream`` of keep-masks over the survivors, so no temporary
-spans all of them.  At n = 6 the scan holds little more than the
-3,099,376 survivors of the first stage (24.8 MB) and one block's tables
-(12.6 MB).
+A permutation acts on codes through two lookup tables, one per half of the
+slots; a code's image is the XOR of its two entries.  numpy builds the
+tables for a block of permutations at once, with one doubling loop per
+table, from a (P, slots) int64 array of destination slots read from the
+code space's one slot table (``_CodeSpace``): slot (u, v) goes to
+``slot[p[u], p[v]]``, the bit deciding the arrow p[u] -> p[v], and flips
+where ``flip[p[u], p[v]]`` marks a tournament pair's reverse order.  A
+code has at most ``_CODE_BITS`` bits, so the tables are int32; the codes,
+which index them, stay int64.  The group is tried in order of points
+moved, transpositions first, since small supports reject most non-minimal
+codes.  Both stages of the scan are cut by the one slice rule.  The first
+runs the first ``_STAGE1_PERMS`` permutations over ``digraph.slices`` of
+runs, a run being the 2^half codes that share their high half (over whole
+runs, the first permutation's images are the outer XOR of its two tables).
+The few survivors meet the rest of the group in blocks of as many
+permutations, each block one ``digraph.stream`` of keep-masks over the
+survivors, so no temporary spans all of them.  At n = 6 the scan holds
+little more than the 3,099,376 survivors of the first stage (24.8 MB) and
+one block's tables (12.6 MB).
 
-The surviving codes are decoded, all slots at once, ``digraph.slices``
-of classes (n row masks each) at a time, into (N, n, n) boolean
-adjacency stacks; the strong-connectivity filter is the reached-all flag
-of ``digraph.distance_stream``.  Each slice becomes graphs through
-``Digraph.from_stack``, which checks it once as a stack.
+The surviving codes are decoded, ``digraph.slices`` of classes (n * n
+entries each) at a time, into (N, n, n) boolean adjacency stacks, by one
+gather of their bits through the slot table; the strong-connectivity
+filter is the reached-all flag of ``digraph.distance_stream``.  Each
+slice becomes graphs through ``Digraph.from_stack``, which checks it
+once as a stack.
 
 The exhaustive reports (``verify_conjecture``, ``verify_theorems``,
 ``exhaustive_search``) each read one enumeration into such a stack
@@ -124,9 +125,11 @@ _GROUP_MOVES = 4096
 
 class _CodeSpace:
     """Labelled graphs of order n as integer codes: bit b set means the
-    arrow ``slots[b]``.  Digraph slots are the ordered pairs u != v;
-    tournament slots (``oriented``) are the pairs u > v, where a clear
-    bit means the arrow v -> u.  Slots are in lexicographic order."""
+    arrow ``slots[b]``, the ordered pairs u != v of a digraph or the pairs
+    u > v of a tournament (``oriented``), in lexicographic order.  The
+    slot table ``slot[a, b]`` is the bit that decides the arrow a -> b,
+    complemented where ``flip[a, b]`` marks a tournament pair's reverse
+    order; the diagonal reads bit ``len(slots)``, clear in every code."""
 
     def __init__(self, n: int, oriented: bool):
         if n < 1:
@@ -137,29 +140,25 @@ class _CodeSpace:
                             f"a scan covers at most 2^{_CODE_BITS} codes")
         self.n, self.oriented = n, oriented
         self.slots = [(u, v) for u in range(n) for v in range(u if oriented else n) if u != v]
+        u, v = self.ends = np.array(self.slots, dtype=np.int64).reshape(-1, 2).T
+        self.slot, self.flip = np.full((n, n), bits, dtype=np.int64), np.zeros((n, n), dtype=bool)
+        if oriented:  # the reverse order reads the same bit, flipped
+            self.slot[v, u], self.flip[v, u] = range(bits), True
+        self.slot[u, v] = range(bits)
 
     def slot_maps(self, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For each row of the (P, n) permutation array: the slot each
         slot goes to, as a (P, slots) array, and the flip mask, the
         destination bits of the pairs whose order the permutation reverses."""
-        u, v = np.array(self.slots, dtype=np.int64).reshape(-1, 2).T
-        pu, pv = perms[:, u], perms[:, v]
-        if not self.oriented:  # (a, b) is slot a(n-1) + b, less one past the diagonal
-            return pu * (self.n - 1) + pv - (pv > pu), np.zeros(len(perms), dtype=np.int64)
-        a, b = np.maximum(pu, pv), np.minimum(pu, pv)  # (a, b), a > b, is slot a(a-1)/2 + b
-        dest = a * (a - 1) // 2 + b
-        return dest, ((pu < pv).astype(np.int64) << dest).sum(axis=1)
+        at = perms[:, self.ends[0]] * self.n + perms[:, self.ends[1]]  # (p[u], p[v]), one index for both tables
+        dest = self.slot.ravel()[at]
+        return dest, (self.flip.ravel()[at] << dest).sum(axis=1)
 
     def stack(self, codes: np.ndarray) -> np.ndarray:
-        """The (N, n, n) boolean adjacency stack of the codes: slot b of
-        a code is its bit b, and a tournament's reverse arrow is the
-        complement."""
-        u, v = np.array(self.slots, dtype=np.int64).reshape(-1, 2).T
-        adj = np.zeros((len(codes), self.n, self.n), dtype=bool)
-        adj[:, u, v] = codes[:, None] >> np.arange(len(u)) & 1
-        if self.oriented:
-            adj[:, v, u] = ~adj[:, u, v]
-        return adj
+        """The (N, n, n) boolean adjacency stack of the codes: each
+        code's bits gathered through the slot table, XOR its flips."""
+        bits = np.unpackbits(codes.astype("<i8", copy=False).view(np.uint8), bitorder="little").reshape(-1, 64)
+        return bits.view(bool)[:, self.slot] ^ self.flip
 
 
 def _group(n: int) -> np.ndarray:
@@ -241,7 +240,7 @@ def _enumerate(space: _CodeSpace, strongly_connected: bool):
     decoded and filtered for strong connectivity as stacks, a slice at a
     time."""
     codes = _class_codes(space.n, space.oriented)
-    for lo, hi in slices(len(codes), space.n):  # a slice of classes, n row masks each
+    for lo, hi in slices(len(codes), space.n * space.n):  # a slice of classes, n * n entries each
         adj = space.stack(codes[lo:hi])
         if strongly_connected:
             adj = adj[distance_stream(space.n, (len(adj), lambda lo, hi: adj[lo:hi]))[2]]
@@ -599,7 +598,7 @@ def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
     removals and reversals not known to keep the graph strong, and
     streams the evaluated graphs and their closures through
     ``_domination_array``."""
-    count, n = adj.shape[:2]
+    n = adj.shape[1]
     climb, kind, u, v, pos, key = _neighbours(adj)
     dist = _distances(adj)
     known = (kind == 1) | ~_tree_arrows(adj, dist)[climb, u, v]
@@ -613,22 +612,16 @@ def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
         return ((len(moves), lambda lo, hi: _moved(adj, *(a[moves[lo:hi]] for a in (climb, kind, u, v)))),
                 (len(keys), lambda lo, hi: _closures(sym, keys[lo:hi])))
 
-    def distinct(keys: np.ndarray) -> np.ndarray:
-        """The closure keys ``keys``, each once, ascending."""
-        seen = np.zeros(count * (n * n + 1), bool)
-        seen[keys] = True
-        return np.flatnonzero(seen)
-
     if invariant == "domination":
         moves, cuts = np.flatnonzero(prefix & ~known), key[:0]
     else:
-        moves, cuts = np.flatnonzero(prefix & (kind != 1)), distinct(key[prefix & cut])
+        moves, cuts = np.flatnonzero(prefix & (kind != 1)), np.unique(key[prefix & cut])
     total, depth_max, reached = distance_stream(n, *parts(moves, cuts))
     strong = prefix.copy()
     strong[moves] = reached[:len(moves)]
     taken = np.flatnonzero(strong & (_ranks(strong, pos) < remaining[climb]))
     if invariant == "domination":
-        keys = distinct(key[taken])
+        keys = np.unique(key[taken])
         values = stream(_domination_array, n, *parts(taken, keys))
         value_g, value_sym = values[:len(taken)], values[len(taken) + np.searchsorted(keys, key[taken])]
     else:
@@ -642,7 +635,7 @@ def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
         value_sym[own] = _value(sym_dist, invariant)[climb[taken[own]]]
         value_sym[gone] = values[len(moves) + np.searchsorted(cuts, key[taken[gone]])]
         new = ~own & ~gone  # Ḡ with the edge {u, v} added
-        keys = distinct(key[taken[new]])
+        keys = np.unique(key[taken[new]])
         graph, pair = np.divmod(keys, n * n + 1)
         value_sym[new] = _inserted(sym_dist, graph, *np.divmod(pair, n), invariant,
                                    both=True)[np.searchsorted(keys, key[taken[new]])]

@@ -263,6 +263,19 @@ def test_json_with_non_integer_numbers_is_a_format_error(capsys, tmp_path):
     assert err == "error: bad graph JSON: expected an integer, got 3.7\n"
 
 
+@pytest.mark.parametrize("name, text", [
+    ("g.txt", "n 3\n0 1\n1 2\n2 0\n0 1\n"),
+    ("g.json", '{"n": 3, "arrows": [[0, 1], [1, 2], [2, 0], [0, 1]]}'),
+], ids=["text", "json"])
+def test_repeated_arrow_is_one_warning_line_and_priced_once(capsys, tmp_path, name, text):
+    src = tmp_path / name
+    src.write_text(text)
+    code, out, err = run(capsys, "price", "--in", str(src), "--invariant", "transmission")
+    _, want, _ = run(capsys, "price", "--family", "cycle:3", "--invariant", "transmission")
+    assert code == 0 and out == want
+    assert len(err.splitlines()) == 1 and err.startswith("warning: duplicate arrow (0,1) at ")
+
+
 def test_search_exhaustive_report(capsys, tmp_path):
     rep = tmp_path / "report.json"
     code, out, _ = run(capsys, "search", "--mode", "exhaustive", "--n", "4",

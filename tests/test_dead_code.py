@@ -1,9 +1,10 @@
 """Guard against dead code: every module-level function, class and
 constant of the package must be referenced somewhere in src/, scripts/
 or tests/.  Guard the one slice rule: only ``digraph`` reads the slice
-bound, so every batch is cut by ``digraph.slices``.  And guard the
-integer closed forms: only the functions of ``formulas`` whose argument
-may be rational name ``Fraction``."""
+bound, so every batch is cut by ``digraph.slices``.  Guard the one slot
+table: inside ``search._CodeSpace`` only ``__init__`` reads the kind of
+code space.  And guard the integer closed forms: only the functions of
+``formulas`` whose argument may be rational name ``Fraction``."""
 import ast
 from pathlib import Path
 
@@ -64,6 +65,17 @@ def test_only_digraph_cuts_batches():
             if "TABLE_ENTRIES" in names:
                 readers.append(f"{path.name}:{node.lineno}")
     assert not readers, f"modules that cut batches by hand: {readers}"
+
+
+def test_only_the_code_space_constructor_reads_its_kind():
+    # a code space's layout is its slot table, built once in __init__; the
+    # methods read the table and never branch on digraph or tournament
+    tree = ast.parse((PACKAGE / "search.py").read_text())
+    space = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_CodeSpace")
+    readers = [f"{fn.name}:{node.lineno}" for fn in space.body
+               if isinstance(fn, ast.FunctionDef) and fn.name != "__init__"
+               for node in ast.walk(fn) if "oriented" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    assert not readers, f"_CodeSpace methods that read the kind: {readers}"
 
 
 def test_formulas_compute_in_integers():

@@ -93,3 +93,13 @@ def test_image_is_the_relabelled_graph(n, oriented):
         for code in codes:
             image = p_lo[code & (1 << half) - 1] ^ p_hi[code >> half]
             assert image == code_of(space, graph_of(space, code).relabel(perm)), (perm, code)
+
+
+@pytest.mark.parametrize("n,oriented", [c for c in CASES if c[0] <= (5 if c[1] else 4)])
+def test_every_code_decodes_and_encodes_back(n, oriented):
+    # the slot table against the slot-by-slot decoder, over the whole code space
+    space = _CodeSpace(n, oriented)
+    codes = np.arange(1 << len(space.slots), dtype=np.int64)
+    graphs = Digraph.from_stack(space.stack(codes))
+    assert [code_of(space, g) for g in graphs] == codes.tolist()
+    assert graphs == [graph_of(space, code) for code in codes.tolist()]
