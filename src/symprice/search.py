@@ -83,21 +83,24 @@ Floyd–Warshall as one two-part ``digraph.distance_stream``, whose
 reached-all flags drop the neighbours that are not strongly connected.
 Domination needs only those flags, so it sends only the removals and
 reversals not known to keep the graph strong, and streams the evaluated
-graphs and their closures through ``_domination_array``.  The starts of
-all climbs are priced together by ``invariants.price_arrays`` before any
-climb is dispatched.  The climbs are dealt round-robin into
-``min(worker_count(), cores, climbs)`` groups, but no more than one per
-``_GROUP_MOVES`` moves a round (climbs times ``min(cap, n * n)``), each
-run in its own process, or in this process when there is one.  Only the
-climbs that end at the best value get a canonical form (``_dedup_key``),
-to merge isomorphic maximisers.
+graphs and their closures through ``_domination_array``, which tests
+each subset size at once over the graphs still undecided.  Distinct
+closure keys are taken by ``_distinct``, a sort and an adjacent-
+difference mask: ``np.unique``'s values without its ``numpy.ma``
+import.  The starts of all climbs are priced together by
+``invariants.price_arrays`` before any climb is dispatched.  The climbs
+are dealt round-robin into ``min(worker_count(), cores, climbs)``
+groups, but no more than one per ``_GROUP_MOVES`` moves a round (climbs
+times ``min(cap, n * n)``), each run in its own process, or in this
+process when there is one; the process pool is imported only where a
+search splits.  Only the climbs that end at the best value get a
+canonical form (``_dedup_key``), to merge isomorphic maximisers.
 """
 from __future__ import annotations
 
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
@@ -572,6 +575,15 @@ def _ranks(flags: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return before - before[np.arange(len(flags)) - pos]
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, ascending, as ``np.unique``
+    gives them, without the ``numpy.ma`` import that ``np.unique`` pays."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
     """The strongly connected neighbours that each graph of a (C, n, n)
     boolean adjacency stack evaluates in one step, at most
@@ -615,13 +627,13 @@ def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
     if invariant == "domination":
         moves, cuts = np.flatnonzero(prefix & ~known), key[:0]
     else:
-        moves, cuts = np.flatnonzero(prefix & (kind != 1)), np.unique(key[prefix & cut])
+        moves, cuts = np.flatnonzero(prefix & (kind != 1)), _distinct(key[prefix & cut])
     total, depth_max, reached = distance_stream(n, *parts(moves, cuts))
     strong = prefix.copy()
     strong[moves] = reached[:len(moves)]
     taken = np.flatnonzero(strong & (_ranks(strong, pos) < remaining[climb]))
     if invariant == "domination":
-        keys = np.unique(key[taken])
+        keys = _distinct(key[taken])
         values = stream(_domination_array, n, *parts(taken, keys))
         value_g, value_sym = values[:len(taken)], values[len(taken) + np.searchsorted(keys, key[taken])]
     else:
@@ -635,7 +647,7 @@ def _evaluated(adj: np.ndarray, remaining: np.ndarray, invariant: str):
         value_sym[own] = _value(sym_dist, invariant)[climb[taken[own]]]
         value_sym[gone] = values[len(moves) + np.searchsorted(cuts, key[taken[gone]])]
         new = ~own & ~gone  # Ḡ with the edge {u, v} added
-        keys = np.unique(key[taken[new]])
+        keys = _distinct(key[taken[new]])
         graph, pair = np.divmod(keys, n * n + 1)
         value_sym[new] = _inserted(sym_dist, graph, *np.divmod(pair, n), invariant,
                                    both=True)[np.searchsorted(keys, key[taken[new]])]
@@ -733,6 +745,7 @@ def hill_climb(n: int, objective: str = "sigma", budget: int = 20000, seed: int 
                  max(1, len(starts) * min(cap, n * n) // _GROUP_MOVES))
     jobs = [(adj[k::groups], start_values[k::groups], invariant, cap) for k in range(groups)]
     if groups > 1:
+        from concurrent.futures import ProcessPoolExecutor  # with multiprocessing, only where a search splits
         with ProcessPoolExecutor(max_workers=groups) as ex:
             dealt = list(ex.map(_climb_group, jobs))
     else:

@@ -20,7 +20,7 @@ from symprice.digraph import (ORDER_CAP, TABLE_ENTRIES, Digraph, adjacency_stack
 from symprice.distances import all_pairs_distances
 from symprice import formulas, invariants
 from symprice.errors import DomainError
-from symprice.families import check_closed_forms, path
+from symprice.families import build_family, check_closed_forms, path
 from symprice.invariants import INVARIANTS, diameter, domination_number, price_arrays, transmission
 from symprice.search import enumerate_digraphs, enumerate_tournaments, random_strongly_connected
 
@@ -221,6 +221,30 @@ def test_domination_prices_one_slice_at_a_time(monkeypatch):
     sizes.clear()
     assert [p.tolist() for p in price_arrays(stack([], 5), "domination")] == [[], []]
     assert sizes == [0]
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_domination_kernel_matches_scalar_at_large_orders(n):
+    # the cycle (gamma n / 2), the in-star (n - 1) and the empty graph (n,
+    # every subset size searched), sparse and dense random strong graphs,
+    # and the closures that differ from them, against domination_number
+    rng = random.Random(n)
+    graphs = [build_family(f"cycle:{n}"), build_family(f"instar:{n}"), Digraph.empty(n),
+              *(random_strongly_connected(n, rng, extra) for extra in (0.05, 0.05, 0.5, 0.5))]
+    graphs += [h for h in map(Digraph.symmetric_closure, graphs) if h not in graphs]
+    assert invariants._domination_array(stack(graphs)).tolist() == [domination_number(g) for g in graphs]
+
+
+def test_domination_kernel_cuts_its_subsets_by_the_slice_rule(monkeypatch):
+    # 600 sparse graphs at n = 12 are undecided together at k = 3, whose
+    # 220 subsets take several slices of TABLE_ENTRIES // (600 * 3)
+    rng = random.Random(7)
+    graphs = [random_strongly_connected(12, rng, 0.05) for _ in range(600)]
+    cut = []
+    monkeypatch.setattr(invariants, "slices", lambda count, size: cut.append((count, size)) or slices(count, size))
+    assert invariants._domination_array(stack(graphs)).tolist() == [domination_number(g) for g in graphs]
+    assert cut[2] == (220, 600 * 3)
+    assert len(slices(*cut[2])) == 4
 
 
 def test_stream_joins_any_kernel_over_its_parts():

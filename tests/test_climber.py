@@ -391,9 +391,25 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("args", GOLDEN)
+# domination climbs at orders where a round's subset search is most of
+# the work; outside GOLDEN, whose every search the pool test runs again
+DOMINATION_GOLDEN = {
+    (16, "domination", 2000, 1): (3, 1933, [
+        (6, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 1)], [
+        ("cycle:16", 2, 3, 333), ("backward:16", 1, 1, 331), ("random", 1, 1, 298),
+        ("random", 2, 2, 305), ("random", 0, 1, 333), ("random", 1, 2, 333)]),
+    (20, "domination", 2000, 1): (3, 1998, [
+        (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072,
+         262144, 524288, 1)], [
+        ("cycle:20", 3, 3, 333), ("backward:20", 1, 1, 333), ("random", 1, 1, 333),
+        ("random", 2, 2, 333), ("random", 1, 1, 333), ("random", 2, 2, 333)]),
+}
+
+
+@pytest.mark.parametrize("args", [*GOLDEN, (16, "domination", 2000, 1),
+                                  pytest.param((20, "domination", 2000, 1), marks=pytest.mark.slow)])
 def test_hill_climb_golden(args):
-    best, visited, rows, restarts = GOLDEN[args]
+    best, visited, rows, restarts = {**GOLDEN, **DOMINATION_GOLDEN}[args]
     out = hill_climb(*args)
     assert out.best_value == best
     assert out.graphs_visited == visited
@@ -445,6 +461,12 @@ def test_domination_climbs_price_in_slices(monkeypatch):
     out = hill_climb(14, "domination", 400000, 1)
     assert (out.best_value, out.graphs_visited) == (2, 17161)
     assert max(sizes) == TABLE_ENTRIES // 14 == 9362
+
+
+@pytest.mark.parametrize("keys", [[], [7], [5, 3, 5, 0, 3, 9], list(range(40, 0, -3)) * 2])
+def test_distinct_keys_match_unique(keys):
+    keys = np.array(keys, np.int64)
+    assert search._distinct(keys).tolist() == np.unique(keys).tolist()
 
 
 def test_large_order_round_steps_climbs_in_slices(monkeypatch):

@@ -1,11 +1,15 @@
+import concurrent.futures
 import hashlib
 import itertools
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -383,7 +387,8 @@ def test_hill_climb_starts_at_most_one_process_per_core(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    # hill_climb imports the pool from concurrent.futures only where a search splits
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
     monkeypatch.setenv("SYMPRICE_THREADS", "1000000")
     # a search too small to split runs in this process: 15 climbs of
@@ -405,6 +410,19 @@ def test_hill_climb_starts_at_most_one_process_per_core(monkeypatch):
             pools.clear()
             assert replace(hill_climb(*args), elapsed=0) == serial[args]
             assert pools == [groups]  # at least six starts, three cores
+
+
+def test_one_group_climb_imports_neither_the_pool_nor_numpy_ma():
+    # in a fresh process, a climb that runs in one group leaves out the
+    # process pool (and with it multiprocessing) and numpy.ma, which
+    # np.unique would import
+    src = str(Path(search.__file__).resolve().parents[1])
+    code = ("import sys; from symprice.search import hill_climb; hill_climb(12, 'sigma', 20000, 1); "
+            "print(sorted(m for m in ('numpy.ma', 'multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.slow
