@@ -1,15 +1,17 @@
 """Command-line driver.
 
 Subcommands: construct, invariant, price, verify-closed-forms, kstar,
-transform, search, verify-theorems, verify-conjecture.
+transform, search, verify-theorems, verify-conjecture, crossover (the
+cycle/bag price table) and sweep (the conjecture over a range of n).
 
 Exit codes: 0 success, 1 usage or file error (a malformed graph file, or
 one that cannot be read or written), 2 domain/size error, 3 mathematical
-verification failure, 4 internal error (a failed structural check, which
-indicates a bug).  ``--json`` switches to JSON, ``--out`` writes to a file
-instead of standard output.  Every ``--out`` and ``--trace`` path is
-checked before the command's work starts.  A closed standard output
-(``| head``) ends the command quietly with exit 0.
+verification failure or a sweep value above the best known family, 4
+internal error (a failed structural check, which indicates a bug).
+``--json`` switches to JSON, opened by the schema tag; ``--out`` writes
+to a file instead of standard output.  Every ``--out`` and ``--trace``
+path is checked before the command's work starts.  A closed standard
+output (``| head``) ends the command quietly with exit 0.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from . import families, io, search, transforms
+from . import families, formulas, io, search, transforms
 from .digraph import Digraph, check_order
 from .errors import DomainError, FormatError, InvariantViolation, SizeError
 from .invariants import INVARIANTS, OBJECTIVES, pos_sigma, price
@@ -48,9 +50,14 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _document(obj: dict) -> str:
+    """The JSON text of every document the CLI writes: ``obj`` after the
+    schema tag."""
+    return json.dumps({"schema": SCHEMA, **obj}, indent=2)
+
+
 def _emit_json(args, obj: dict) -> None:
-    obj = {"schema": SCHEMA, **obj}
-    _emit(args, json.dumps(obj, indent=2))
+    _emit(args, _document(obj))
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -176,14 +183,13 @@ def cmd_transform(args) -> int:
         io.write_graph_file(result, args.out)
     if args.trace:
         trace = {
-            "schema": SCHEMA,
             "rule": outcome.rule,
             "applied": outcome.applied,
             "pos_before": outcome.pos_before,
             "pos_after": outcome.pos_after,
             "result": io.to_json_obj(result),
         }
-        Path(args.trace).write_text(json.dumps(trace, indent=2) + "\n")
+        Path(args.trace).write_text(_document(trace) + "\n")
     word = "applied" if outcome.applied else "not applied"
     print(f"{outcome.rule}: {word}, pos {outcome.pos_before} -> {outcome.pos_after}")
     return EXIT_OK
@@ -199,7 +205,6 @@ def cmd_search(args) -> int:
     else:
         outcome = search.hill_climb(args.n, args.objective, **heuristic)
     report = {
-        "schema": SCHEMA,
         "n": outcome.n,
         "objective": outcome.objective,
         "mode": args.mode,
@@ -211,9 +216,8 @@ def cmd_search(args) -> int:
     }
     if not outcome.exhaustive:
         report["restarts"] = [dataclasses.asdict(r) for r in outcome.restarts]
-    text = json.dumps(report, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        Path(args.out).write_text(_document(report) + "\n")
     print(f"best {args.objective} price at n={args.n}: {outcome.best_value} "
           f"({len(outcome.maximizers)} maximizer(s), "
           f"{'exhaustive' if outcome.exhaustive else 'heuristic'})")
@@ -262,6 +266,53 @@ def cmd_verify_conjecture(args) -> int:
         lines += [f"  {v:6d}  {list(g.arrows())}" for v, g in r.top]
         _emit(args, "\n".join(lines))
     return EXIT_OK if r.ok else EXIT_VERIFY
+
+
+def cmd_crossover(args) -> int:
+    # one row per order as soon as it is priced, all in exact integers
+    if args.min_n < 4:
+        raise ValueError(f"--min-n must be at least 4, the smallest order with a bag, got {args.min_n}")
+    specs = []
+    print(f"{'n':>4} {'pos(C_n)':>12} {'k':>4} {'pos(H_n(k))':>12}  winner")
+    for n in range(args.min_n, args.max_n + 1):
+        cyc = formulas.pos_cycle(n)
+        k, bag = formulas.best_bag_pos(n)
+        winner = "cycle" if cyc > bag else ("bag" if bag > cyc else "tie")
+        print(f"{n:>4} {cyc:>12} {k:>4} {bag:>12}  {winner}")
+        specs += [families.family_spec("bag", n, k), families.family_spec("cycle", n)]
+    checks = families.check_closed_forms(specs) if args.check else []
+    mismatches = sorted({c.n for c in checks if not c.ok})
+    for n in mismatches:
+        print(f"closed form disagrees with the distance engine at n={n}", file=sys.stderr)
+    return EXIT_VERIFY if mismatches else EXIT_OK
+
+
+def cmd_sweep(args) -> int:
+    # exhaustive where enumeration reaches, a hill climb beyond it
+    if args.min_n < 2:
+        raise ValueError(f"--min-n must be at least 2, the smallest order with a cycle, got {args.min_n}")
+    records = []
+    for n in range(args.min_n, args.max_n + 1):
+        target = families.best_known(n)
+        try:
+            r = search.verify_conjecture(n)
+        except SizeError:  # beyond the orders enumeration reaches
+            out = search.hill_climb(n, "sigma", budget=args.budget, seed=args.seed)
+            rec = {"n": n, "mode": "heuristic", "best": out.best_value,
+                   "target": target, "visited": out.graphs_visited,
+                   "elapsed": round(out.elapsed, 2)}
+        else:
+            rec = {"n": n, "mode": "exhaustive", "best": r.best_value,
+                   "target": target, "classes": r.classes_checked,
+                   "unique_cycle": r.ok}
+        if rec["best"] > target:
+            rec["note"] = "EXCEEDS KNOWN FAMILY VALUE - investigate"
+        records.append(rec)
+        if not args.json:
+            print(" ".join(f"{k}={v}" for k, v in rec.items()), flush=True)
+    if args.json:
+        _emit_json(args, {"sweep": records})
+    return EXIT_VERIFY if any("note" in rec for rec in records) else EXIT_OK
 
 
 # -- argument parsing ------------------------------------------------
@@ -342,6 +393,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     _add_format_flags(p)
     p.set_defaults(fn=cmd_verify_conjecture)
+
+    p = sub.add_parser("crossover", help="tabulate the cycle/bag transmission-price crossover")
+    p.add_argument("--min-n", type=int, default=4)
+    p.add_argument("--max-n", type=int, default=40)
+    p.add_argument("--check", action="store_true",
+                   help="cross-check closed forms against the distance engine's transmissions")
+    p.set_defaults(fn=cmd_crossover)
+
+    p = sub.add_parser("sweep", help="settle or climb the transmission-price maximum over n")
+    p.add_argument("--min-n", type=int, default=3)
+    p.add_argument("--max-n", type=int, default=12)
+    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", action="store_true", help="emit JSON")
+    p.set_defaults(fn=cmd_sweep)
 
     return ap
 

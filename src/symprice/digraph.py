@@ -342,7 +342,11 @@ def canonical_form(g: Digraph) -> bytes:
     Minimises, over all vertex orderings, the level encoding in which
     vertex r contributes the 2r bits describing its arrows to/from the
     r previously placed vertices.  Backtracking with prefix pruning;
-    intended for n <= 10 only.
+    intended for n <= 10 only.  The cost grows with symmetry as well as
+    order: on a 2-core host the complete and the empty digraph took
+    0.17/0.15 s at n = 8, 1.98/1.73 s at n = 9 and 22.3/18.3 s at n = 10,
+    against at most 0.01 s for the directed cycle.  ``families.b_family``
+    and the climber's ``search._dedup_key`` call it up to ``ISO_ORDER_CAP``.
     """
     n = g.n
     if n > ISO_ORDER_CAP:

@@ -689,9 +689,7 @@ def _climb_group(job) -> list[tuple[int, int, tuple[int, ...]]]:
             spent, better, kind, u, v, best = _step(adj[part], value[part], cap - evals[part], invariant)
             evals[part] += spent
             better = part[better]
-            adj[better, u, v] ^= True
-            rev = kind == 2
-            adj[better[rev], v[rev], u[rev]] ^= True
+            adj[better] = _moved(adj, better, kind, u, v)
             value[better] = best
             going.append(better[evals[better] < cap])
         live = np.concatenate(going)

@@ -7,13 +7,15 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from symprice import families, formulas, search, transforms
-from symprice.digraph import Digraph, canonical_form
+from symprice.digraph import Digraph, adjacency_stack, canonical_form, distance_stream
 from symprice.distances import all_pairs_distances, sigma_from_vertex, sigma_to_vertex
 from symprice.invariants import pos_sigma, transmission
 from symprice.search import (
+    enumerate_digraphs,
     enumerate_tournaments,
     hill_climb,
     random_strongly_connected,
@@ -174,14 +176,7 @@ def test_criterion_09_transformation_properties():
     for _ in range(1000):
         g = _bridged(rng, rng.randint(2, 5), rng.randint(2, 5))
         p = transforms.find_c2_bridge(g)
-        d = all_pairs_distances(g)
-        sx = sum(d[i, j] for i in _bits(p.X) for j in _bits(p.X) if i != j)
-        sy = sum(d[i, j] for i in _bits(p.Y) for j in _bits(p.Y) if i != j)
-        expected = (sx + sy
-                    + p.n1 * (sigma_to_vertex(d, p.Y, p.y) + sigma_from_vertex(d, p.y, p.Y))
-                    + p.n2 * (sigma_to_vertex(d, p.X, p.x) + sigma_from_vertex(d, p.x, p.X))
-                    + 2 * p.n1 * p.n2)
-        ok = ok and transmission(g) == expected
+        ok = ok and transmission(g) == _sigma_across(g, p)
 
     # contraction preserves the price and satisfies the sigma identity
     for _ in range(1000):
@@ -189,8 +184,7 @@ def test_criterion_09_transformation_properties():
         p = transforms.find_c2_bridge(g)
         out = transforms.contract_c2(g, p)
         ok = ok and out.pos_after == out.pos_before
-        ok = ok and transmission(out.result) == (
-            transmission(g) - 2 * p.n1 * p.n2 + 2 * p.n1 + 2 * p.n2 - 2)
+        ok = ok and transmission(out.result) == _sigma_contracted(g, p)
 
     # rewiring never decreases, strict unless the chosen pair is (x, y)
     for _ in range(1000):
@@ -219,6 +213,48 @@ def test_criterion_09_transformation_properties():
             ok = ok and not out.applied
 
     verdict(9, "transformation properties, 1000 instances each", ok)
+
+
+@pytest.mark.parametrize("n, bridged", [(3, 1), (4, 10), (5, 279)])
+def test_criterion_09_bridge_statements_exhaustive(n, bridged):
+    """The random test's 2-cycle bridge statements on every strong class
+    of order n that has such a bridge: the distance decomposition, the
+    contraction keeping pos_sigma and the sigma identity, and break_c2
+    raising pos_sigma strictly exactly when it applies."""
+    ok, checked = True, 0
+    for g in enumerate_digraphs(n):
+        p = transforms.find_c2_bridge(g)
+        if p is None:
+            continue
+        checked += 1
+        contracted, broken = transforms.contract_c2(g, p), transforms.break_c2(g, p)
+        ok = (transmission(g) == _sigma_across(g, p)
+              and contracted.pos_after == contracted.pos_before
+              and transmission(contracted.result) == _sigma_contracted(g, p)
+              and broken.applied == (broken.pos_after > broken.pos_before)
+              and broken.pos_after >= broken.pos_before)
+        if not ok:
+            print(f"counterexample at n={n}: arrows {list(g.arrows())}")
+            break
+    verdict(9, f"2-cycle bridge statements, every bridged strong class at n={n}",
+            ok and checked == bridged)
+
+
+def _sigma_across(g, p):
+    """sigma(G) from the distances inside each side of the 2-cycle bridge
+    p and to and from its ends."""
+    d = all_pairs_distances(g)
+    sx = sum(d[i, j] for i in _bits(p.X) for j in _bits(p.X) if i != j)
+    sy = sum(d[i, j] for i in _bits(p.Y) for j in _bits(p.Y) if i != j)
+    return (sx + sy
+            + p.n1 * (sigma_to_vertex(d, p.Y, p.y) + sigma_from_vertex(d, p.y, p.Y))
+            + p.n2 * (sigma_to_vertex(d, p.X, p.x) + sigma_from_vertex(d, p.x, p.X))
+            + 2 * p.n1 * p.n2)
+
+
+def _sigma_contracted(g, p):
+    """sigma of G with the 2-cycle bridge p contracted."""
+    return transmission(g) - 2 * p.n1 * p.n2 + 2 * p.n1 + 2 * p.n2 - 2
 
 
 def _bits(mask):
@@ -265,3 +301,41 @@ def test_criterion_10_tournament_extension_bound():
                - transmission(families.backward_tournament(m)))
         ok = ok and gap == math.comb(m + 2, 2)
     verdict(10, "tournament extension transmission bound, 500 instances", ok)
+
+
+# (strong extensions, extensions above C(m + 1, 2)) per order m of T
+_EXTENSIONS = {3: (6, 6), 4: (14, 14), 5: (180, 108), 6: (2170, 164), 7: (44478, 278),
+               8: (1526032, 502)}
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+def test_criterion_10_tournament_extension_bound_exhaustive(m):
+    """sigma(T + v) - sigma(T) <= C(m + 2, 2) over every strong tournament
+    class T of order m and each of the 2^m ways to join a new vertex v,
+    kept where T + v is strong.  The bound is reached at every m; the
+    C(m + 1, 2) form is exceeded at every m."""
+    ts = list(enumerate_tournaments(m))
+    base = adjacency_stack((t.rows for t in ts), m)
+    sigma_t = distance_stream(m, (len(base), lambda lo, hi: base[lo:hi]))[0]
+
+    def joined(lo, hi):
+        # extension e is class e >> m with v joined by e's low m bits: bit i is i -> v
+        cls, join = np.divmod(np.arange(lo, hi), 1 << m)
+        into = (join[:, None] >> np.arange(m) & 1).astype(bool)
+        adj = np.zeros((hi - lo, m + 1, m + 1), bool)
+        adj[:, :m, :m] = base[cls]
+        adj[:, :m, m] = into
+        adj[:, m, :m] = ~into
+        return adj
+
+    sums, _, strong = distance_stream(m + 1, (len(ts) << m, joined))
+    ext = np.flatnonzero(strong)
+    gaps = sums[ext] - sigma_t[ext >> m]
+    bound = math.comb(m + 2, 2)
+    for e in ext[gaps > bound][:1]:
+        print(f"counterexample at m={m}: T rows {ts[e >> m].rows}, "
+              f"v joined by {int(e) & ((1 << m) - 1):0{m}b} (bit i: i -> v)")
+    counts = (len(ext), int((gaps > math.comb(m + 1, 2)).sum()))
+    print(f"m={m}: strong extensions, above C(m + 1, 2) = {counts}; largest gap {gaps.max()}")
+    verdict(10, f"tournament extension bound, every strong extension at m={m}",
+            gaps.max() == bound and counts == _EXTENSIONS[m])

@@ -1,9 +1,10 @@
 """Guard against dead code: every module-level function, class and
-constant of the package must be referenced somewhere in src/, scripts/
-or tests/.  Guard the one slice rule: only ``digraph`` reads the slice
-bound, so every batch is cut by ``digraph.slices``.  Guard the one slot
-table: inside ``search._CodeSpace`` only ``__init__`` reads the kind of
-code space.  And guard the integer closed forms: only the functions of
+constant of the package must be referenced somewhere in src/ or tests/.
+Guard the one slice rule: only ``digraph`` reads the slice bound, so
+every batch is cut by ``digraph.slices``.  Guard the one slot table:
+inside ``search._CodeSpace`` only ``__init__`` reads the kind of code
+space.  Guard the one JSON envelope: only ``cli._document`` reads the
+schema tag.  And guard the integer closed forms: only the functions of
 ``formulas`` whose argument may be rational name ``Fraction``."""
 import ast
 from pathlib import Path
@@ -14,11 +15,11 @@ PACKAGE = ROOT / "src" / "symprice"
 
 def _unreferenced(kinds):
     """Names defined by module-level package statements of the given
-    kinds that no src/, scripts/ or tests/ file reads, as a name or an
+    kinds that no src/ or tests/ file reads, as a name or an
     attribute (an assignment target is not a read)."""
     defined: dict[str, str] = {}
     used: set[str] = set()
-    for d in ("src", "scripts", "tests"):
+    for d in ("src", "tests"):
         for path in sorted((ROOT / d).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             if path.parent == PACKAGE:
@@ -76,6 +77,23 @@ def test_only_the_code_space_constructor_reads_its_kind():
                if isinstance(fn, ast.FunctionDef) and fn.name != "__init__"
                for node in ast.walk(fn) if "oriented" in (getattr(node, "id", None), getattr(node, "attr", None))]
     assert not readers, f"_CodeSpace methods that read the kind: {readers}"
+
+
+def test_only_the_envelope_reads_the_schema_tag():
+    # every JSON document the CLI writes is built by cli._document, so no
+    # other package code names SCHEMA, imported or read
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if path.name == "cli.py" and isinstance(top, ast.FunctionDef) and top.name == "_document":
+                continue
+            for node in ast.walk(top):
+                names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                         else [node.id] if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+                         else [node.attr] if isinstance(node, ast.Attribute) else [])
+                if "SCHEMA" in names:
+                    readers.append(f"{path.name}:{node.lineno}")
+    assert not readers, f"JSON built outside cli._document: {readers}"
 
 
 def test_formulas_compute_in_integers():

@@ -1,48 +1,59 @@
-import importlib.util
+"""The ``crossover`` and ``sweep`` subcommands, driven through
+``cli.main``."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from symprice import formulas
+import symprice
+from symprice import cli, formulas
 from symprice.cli import SCHEMA
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_closed_form_table_check_passes(capsys):
-    script = load_script("closed_form_table")
-    assert script.main(["--max-n", "12", "--check"]) == 0
+    assert cli.main(["crossover", "--max-n", "12", "--check"]) == cli.EXIT_OK
     assert capsys.readouterr().err == ""
 
 
 def test_closed_form_table_check_exits_3_on_mismatch(monkeypatch, capsys):
-    script = load_script("closed_form_table")
     monkeypatch.setattr(formulas, "sigma_hnk", lambda n, k: -1)
-    assert script.main(["--min-n", "11", "--max-n", "12", "--check"]) == 3
+    assert cli.main(["crossover", "--min-n", "11", "--max-n", "12", "--check"]) == cli.EXIT_VERIFY
     err = capsys.readouterr().err
     assert "n=11" in err and "n=12" in err
 
 
-@pytest.mark.parametrize("script, argv, minimum", [
-    ("closed_form_table", ["--min-n", "3"], "--min-n must be at least 4"),
-    ("conjecture_sweep", ["--min-n", "1"], "--min-n must be at least 2"),
-    ("conjecture_sweep", ["--min-n", "7", "--max-n", "7", "--budget", "5"],
+@pytest.mark.parametrize("argv, minimum", [
+    (["crossover", "--min-n", "3"], "--min-n must be at least 4"),
+    (["sweep", "--min-n", "1"], "--min-n must be at least 2"),
+    (["sweep", "--min-n", "7", "--max-n", "7", "--budget", "5"],
      "budget must be at least 10 at n=7"),
-])
-def test_scripts_reject_arguments_out_of_range(capsys, script, argv, minimum):
-    with pytest.raises(SystemExit) as e:
-        load_script(script).main(argv)
-    assert e.value.code == 2
+], ids=["crossover-min-n", "sweep-min-n", "sweep-budget"])
+def test_scripts_reject_arguments_out_of_range(capsys, argv, minimum):
+    assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert minimum in err and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and minimum in err
+
+
+def test_subcommands_refuse_orders_above_the_cap(capsys):
+    for argv in (["sweep", "--min-n", "1001", "--max-n", "1001", "--budget", "2000"],
+                 ["crossover", "--min-n", "1000", "--max-n", "1001", "--check"]):
+        assert cli.main(argv) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: graph order capped at n=1000, got 1001\n"
+
+
+def test_crossover_rows_to_a_closed_stdout_end_quietly():
+    src = str(Path(symprice.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "symprice.cli", "crossover", "--max-n", "1000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().split() == [b"n", b"pos(C_n)", b"k", b"pos(H_n(k))", b"winner"]
+    proc.stdout.close()  # as `| head -1` does
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize("argv, modes", [
@@ -50,7 +61,7 @@ def test_scripts_reject_arguments_out_of_range(capsys, script, argv, minimum):
     (["--min-n", "7", "--max-n", "7", "--budget", "100"], ["heuristic"]),
 ], ids=["enumerated", "beyond-enumeration"])
 def test_conjecture_sweep_climbs_where_enumeration_stops(capsys, argv, modes):
-    assert load_script("conjecture_sweep").main([*argv, "--json"]) == 0
+    assert cli.main(["sweep", *argv, "--json"]) == cli.EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["schema"] == SCHEMA
     assert [r["mode"] for r in report["sweep"]] == modes
