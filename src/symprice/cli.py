@@ -195,9 +195,13 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
+def _climb_flags(args) -> dict:
+    """The ``--budget`` and ``--seed`` given; ``hill_climb`` supplies the defaults."""
+    return {k: v for k in ("budget", "seed") if (v := getattr(args, k)) is not None}
+
+
 def cmd_search(args) -> int:
-    # the flags given; hill_climb supplies the defaults
-    heuristic = {k: v for k in ("budget", "seed") if (v := getattr(args, k)) is not None}
+    heuristic = _climb_flags(args)
     if args.mode == "exhaustive":
         if heuristic:
             raise ValueError("--budget and --seed apply to --mode heuristic only")
@@ -268,20 +272,31 @@ def cmd_verify_conjecture(args) -> int:
     return EXIT_OK if r.ok else EXIT_VERIFY
 
 
+def _orders(args, least: int, why: str) -> range:
+    """The orders from ``--min-n`` to ``--max-n``, refused when empty or
+    when they start below ``least``."""
+    if args.min_n < least:
+        raise ValueError(f"--min-n must be at least {least}, {why}, got {args.min_n}")
+    if args.max_n < args.min_n:
+        raise ValueError(f"--max-n must be at least --min-n ({args.min_n}), got {args.max_n}")
+    return range(args.min_n, args.max_n + 1)
+
+
 def cmd_crossover(args) -> int:
     # one row per order as soon as it is priced, all in exact integers
-    if args.min_n < 4:
-        raise ValueError(f"--min-n must be at least 4, the smallest order with a bag, got {args.min_n}")
+    orders = _orders(args, 4, "the smallest order with a bag")
+    if args.check:
+        check_order(args.max_n)  # before any row; the closed forms alone take any order
     specs = []
     print(f"{'n':>4} {'pos(C_n)':>12} {'k':>4} {'pos(H_n(k))':>12}  winner")
-    for n in range(args.min_n, args.max_n + 1):
+    for n in orders:
         cyc = formulas.pos_cycle(n)
         k, bag = formulas.best_bag_pos(n)
         winner = "cycle" if cyc > bag else ("bag" if bag > cyc else "tie")
         print(f"{n:>4} {cyc:>12} {k:>4} {bag:>12}  {winner}")
-        specs += [families.family_spec("bag", n, k), families.family_spec("cycle", n)]
-    checks = families.check_closed_forms(specs) if args.check else []
-    mismatches = sorted({c.n for c in checks if not c.ok})
+        if args.check:
+            specs += [families.family_spec("bag", n, k), families.family_spec("cycle", n)]
+    mismatches = sorted({c.n for c in families.check_closed_forms(specs) if not c.ok})
     for n in mismatches:
         print(f"closed form disagrees with the distance engine at n={n}", file=sys.stderr)
     return EXIT_VERIFY if mismatches else EXIT_OK
@@ -289,15 +304,24 @@ def cmd_crossover(args) -> int:
 
 def cmd_sweep(args) -> int:
     # exhaustive where enumeration reaches, a hill climb beyond it
-    if args.min_n < 2:
-        raise ValueError(f"--min-n must be at least 2, the smallest order with a cycle, got {args.min_n}")
+    orders = _orders(args, 2, "the smallest order with a cycle")
+    check_order(args.max_n)  # before the first order is settled or climbed
+    heuristic = _climb_flags(args)
+    if heuristic:
+        try:  # the digraph code space refuses an order by its slot count alone
+            search._CodeSpace(args.max_n, oriented=False)
+        except SizeError:
+            pass  # the top order, at least, is climbed
+        else:
+            raise ValueError(f"--budget and --seed apply to climbed orders only, "
+                             f"and every order up to n={args.max_n} is enumerated")
     records = []
-    for n in range(args.min_n, args.max_n + 1):
+    for n in orders:
         target = families.best_known(n)
         try:
             r = search.verify_conjecture(n)
         except SizeError:  # beyond the orders enumeration reaches
-            out = search.hill_climb(n, "sigma", budget=args.budget, seed=args.seed)
+            out = search.hill_climb(n, "sigma", **heuristic)
             rec = {"n": n, "mode": "heuristic", "best": out.best_value,
                    "target": target, "visited": out.graphs_visited,
                    "elapsed": round(out.elapsed, 2)}
@@ -404,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="settle or climb the transmission-price maximum over n")
     p.add_argument("--min-n", type=int, default=3)
     p.add_argument("--max-n", type=int, default=12)
-    p.add_argument("--budget", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, help="objective evaluations per climbed order")
+    p.add_argument("--seed", type=int, help="random seed of each climb")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(fn=cmd_sweep)
 

@@ -2,8 +2,10 @@
 
 Covers cycles, paths, complete digraphs, in-stars, backward tournaments,
 the diameter equality family, L_k replacement sets, bags and the
-extremal bag order selector k*.  ``FAMILIES`` is the one family table,
-name -> builder; a spec such as ``bag:12:5`` names a member.
+extremal bag order selector k*.  The cycle, T_n and the canonical bags
+are one ring, and B_n and the L-sets one loop over arrow variants.
+``FAMILIES`` is the one family table, name -> builder; a spec such as
+``bag:12:5`` names a member.
 ``check_closed_forms`` compares the closed forms of cycle and bag specs
 with the distance engine, and ``best_known`` is the best known
 transmission price at order n.
@@ -21,10 +23,19 @@ from .invariants import price_arrays
 from . import formulas
 
 
+def _ring(n: int, k: int) -> Digraph:
+    """The cycle 0 -> 1 -> ... -> n-1 -> 0 plus the back arrows (i, j),
+    j <= i - 2, among its first k vertices."""
+    rows = [1 << (i + 1) for i in range(n - 1)] + [1]
+    for i in range(2, k):
+        rows[i] |= (1 << (i - 1)) - 1
+    return Digraph(n, tuple(rows))
+
+
 def cycle(n: int) -> Digraph:
     if n < 2:
         raise ValueError(f"cycle needs n >= 2, got {n}")
-    return Digraph.from_arrows(n, [(i, (i + 1) % n) for i in range(n)])
+    return _ring(n, 0)
 
 
 def path(n: int) -> Digraph:
@@ -51,9 +62,23 @@ def backward_tournament(n: int) -> Digraph:
     arrow (i, j) with j <= i-2."""
     if n < 3:
         raise ValueError(f"backward tournament needs n >= 3, got {n}")
-    arrows = [(i, i + 1) for i in range(n - 1)]
-    arrows += [(i, j) for i in range(2, n) for j in range(i - 1)]
-    return Digraph.from_arrows(n, arrows)
+    return _ring(n, n)
+
+
+def _variants(g: Digraph, arrows: list[tuple[int, int]], ways: tuple[str, ...], k: int) -> list[Digraph]:
+    """g and every graph made by replacing at most k of ``arrows`` (u, v) each by one of
+    ``ways``, the reverse arrow or both arrows: the first met of each isomorphism class."""
+    seen: dict[bytes, Digraph] = {canonical_form(g): g}
+    for r in range(1, min(k, len(arrows)) + 1):
+        for subset in combinations(arrows, r):
+            for choice in product(ways, repeat=r):
+                h = g
+                for (u, v), how in zip(subset, choice):
+                    if how == "reverse":
+                        h = h.remove_arrow(u, v)
+                    h = h.add_arrow(v, u)
+                seen.setdefault(canonical_form(h), h)
+    return list(seen.values())
 
 
 def b_family(n: int) -> list[Digraph]:
@@ -63,16 +88,7 @@ def b_family(n: int) -> list[Digraph]:
         raise ValueError(f"family needs n >= 3, got {n}")
     if n > ISO_ORDER_CAP:  # each of the 2^(n-1) graphs gets a canonical form
         raise SizeError(f"canonical form supported up to n={ISO_ORDER_CAP}, got {n}")
-    base = backward_tournament(n)
-    back = [(i + 1, i) for i in range(n - 1)]
-    seen: dict[bytes, Digraph] = {}
-    for r in range(n):
-        for subset in combinations(back, r):
-            g = base
-            for u, v in subset:
-                g = g.add_arrow(u, v)
-            seen.setdefault(canonical_form(g), g)
-    return list(seen.values())
+    return _variants(backward_tournament(n), [(i, i + 1) for i in range(n - 1)], ("both",), n - 1)
 
 
 def l_set(g: Digraph, k: int) -> list[Digraph]:
@@ -80,18 +96,7 @@ def l_set(g: Digraph, k: int) -> list[Digraph]:
     (u, v) by the reverse arrow (v, u) or by both arrows."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    arrows = list(g.arrows())
-    seen: dict[bytes, Digraph] = {canonical_form(g): g}
-    for r in range(1, min(k, len(arrows)) + 1):
-        for subset in combinations(arrows, r):
-            for choice in product(("reverse", "both"), repeat=r):
-                h = g
-                for (u, v), how in zip(subset, choice):
-                    if how == "reverse":
-                        h = h.remove_arrow(u, v)
-                    h = h.add_arrow(v, u)
-                seen.setdefault(canonical_form(h), h)
-    return list(seen.values())
+    return _variants(g, list(g.arrows()), ("reverse", "both"), k)
 
 
 @dataclass(frozen=True)
@@ -144,12 +149,7 @@ def canonical_bag(n: int, k: int) -> Digraph:
     arrow (v_k, v_1)."""
     if not 3 <= k < n:
         raise ValueError(f"need 3 <= k < n, got k={k}, n={n}")
-    # the forward path 0 -> 1 -> ... -> n-1 and the path's arrow n-1 -> 0,
-    # plus the back arrows (i, j), j <= i - 2, of the tournament
-    rows = [1 << (i + 1) for i in range(n - 1)] + [1]
-    for i in range(2, k):
-        rows[i] |= (1 << (i - 1)) - 1
-    return Digraph(n, tuple(rows))
+    return _ring(n, k)
 
 
 SQRT2 = math.sqrt(2.0)

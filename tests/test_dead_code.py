@@ -4,8 +4,10 @@ Guard the one slice rule: only ``digraph`` reads the slice bound, so
 every batch is cut by ``digraph.slices``.  Guard the one slot table:
 inside ``search._CodeSpace`` only ``__init__`` reads the kind of code
 space.  Guard the one JSON envelope: only ``cli._document`` reads the
-schema tag.  And guard the integer closed forms: only the functions of
-``formulas`` whose argument may be rational name ``Fraction``."""
+schema tag.  Guard the one variant loop: inside ``families`` only
+``_variants`` takes canonical forms.  And guard the integer closed
+forms: only the functions of ``formulas`` whose argument may be rational
+name ``Fraction``."""
 import ast
 from pathlib import Path
 
@@ -94,6 +96,17 @@ def test_only_the_envelope_reads_the_schema_tag():
                 if "SCHEMA" in names:
                     readers.append(f"{path.name}:{node.lineno}")
     assert not readers, f"JSON built outside cli._document: {readers}"
+
+
+def test_only_the_variant_loop_dedupes_families():
+    # B_n and the L-sets are one loop, families._variants: no other code of
+    # families calls canonical_form
+    tree = ast.parse((PACKAGE / "families.py").read_text())
+    callers = [f"{getattr(top, 'name', 'module')}:{node.lineno}" for top in tree.body
+               if getattr(top, "name", None) != "_variants"
+               for node in ast.walk(top) if isinstance(node, ast.Call)
+               and "canonical_form" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert not callers, f"families code that dedupes outside _variants: {callers}"
 
 
 def test_formulas_compute_in_integers():

@@ -1,13 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from symprice import families, formulas
-from symprice.digraph import ISO_ORDER_CAP, ORDER_CAP, Digraph, are_isomorphic, canonical_form
+from symprice.digraph import ISO_ORDER_CAP, ORDER_CAP, Digraph, adjacency_stack, are_isomorphic, canonical_form
 from symprice.errors import DomainError, SizeError
 from symprice.families import BagSpec, bag, canonical_bag
-from symprice.invariants import transmission
-from symprice.search import _warm_starts
+from symprice.invariants import pos_sigma, price_arrays, transmission
+from symprice.search import _warm_starts, enumerate_tournaments
 
 
 def test_cycle_path_complete_instar():
@@ -106,6 +107,27 @@ def test_canonical_bag_transmission_matches_closed_form():
         g = canonical_bag(n, k)
         assert transmission(g) == formulas.sigma_hnk(n, k)
         assert transmission(g.symmetric_closure()) == formulas.sigma_hnk_sym(n, k)
+
+
+@pytest.mark.parametrize("n, strong", [(4, 3), (5, 9), (6, 69), (7, 594), (8, 8007),
+                                       pytest.param(9, 176231, marks=pytest.mark.slow)])
+def test_canonical_bags_maximise_the_price_over_every_bag(n, strong):
+    # the bag theorem, exhaustively: over every tournament class T of order
+    # 3 <= k < n and every arrow of T to duplicate, the strongly connected
+    # bags' largest pos_sigma is best_bag_pos's, reached only by canonical bags
+    bags = [(t, arrow, g) for k in range(3, n) for t in enumerate_tournaments(k, strongly_connected=False)
+            for arrow in t.arrows() for g in (bag(BagSpec(n, k, t, arrow)),) if g.is_strongly_connected()]
+    assert len(bags) == strong
+    sigma, sigma_sym = price_arrays(adjacency_stack((g.rows for *_, g in bags), n), "transmission")
+    pos = sigma - sigma_sym
+    best = formulas.best_bag_pos(n)[1]
+    t, arrow, _ = bags[int(pos.argmax())]
+    assert pos.max() == best, f"pos {pos.max()} over T rows {t.rows}, arrow {arrow}"
+    canonical = [canonical_bag(n, k) for k in range(3, n) if formulas.pos_hnk(n, k) == best]
+    for i in np.flatnonzero(pos == best):
+        t, arrow, g = bags[i]
+        assert pos_sigma(g) == best, f"T rows {t.rows}, arrow {arrow}"
+        assert any(are_isomorphic(g, c) for c in canonical), f"T rows {t.rows}, arrow {arrow}"
 
 
 def test_r_value_linear_form():

@@ -30,18 +30,26 @@ def test_closed_form_table_check_exits_3_on_mismatch(monkeypatch, capsys):
     (["sweep", "--min-n", "1"], "--min-n must be at least 2"),
     (["sweep", "--min-n", "7", "--max-n", "7", "--budget", "5"],
      "budget must be at least 10 at n=7"),
-], ids=["crossover-min-n", "sweep-min-n", "sweep-budget"])
+    (["crossover", "--min-n", "10", "--max-n", "9"], "--max-n must be at least --min-n (10), got 9"),
+    (["sweep", "--min-n", "5", "--max-n", "4"], "--max-n must be at least --min-n (5), got 4"),
+    (["sweep", "--max-n", "5", "--budget", "1"], "every order up to n=5 is enumerated"),
+    (["sweep", "--min-n", "6", "--max-n", "6", "--seed", "3"], "every order up to n=6 is enumerated"),
+], ids=["crossover-min-n", "sweep-min-n", "sweep-budget", "crossover-empty", "sweep-empty",
+        "sweep-budget-unused", "sweep-seed-unused"])
 def test_scripts_reject_arguments_out_of_range(capsys, argv, minimum):
     assert cli.main(argv) == cli.EXIT_USAGE
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and minimum in err
 
 
 def test_subcommands_refuse_orders_above_the_cap(capsys):
+    # before any row: neither the table's first order nor a climb at n = 999
     for argv in (["sweep", "--min-n", "1001", "--max-n", "1001", "--budget", "2000"],
+                 ["sweep", "--min-n", "999", "--max-n", "1001"],
                  ["crossover", "--min-n", "1000", "--max-n", "1001", "--check"]):
         assert cli.main(argv) == cli.EXIT_DOMAIN
-        assert capsys.readouterr().err == "error: graph order capped at n=1000, got 1001\n"
+        assert capsys.readouterr() == ("", "error: graph order capped at n=1000, got 1001\n")
 
 
 def test_crossover_rows_to_a_closed_stdout_end_quietly():
